@@ -72,16 +72,7 @@ func main() {
 	traceDir := flag.String("traceout", "", "with -trace, write Chrome trace_event JSON per experiment into this directory")
 	jsonOut := flag.String("json", "", "also write a machine-readable snapshot of every selected experiment to this file")
 	compareFlag := flag.Bool("compare", false, "compare two -json snapshots (OLD NEW) and fail on gen_ns regressions")
-	engineFlag := flag.String("engine", "serial", "simulation engine the experiments boot: serial or parallel (identical virtual-time results either way)")
 	flag.Parse()
-
-	switch *engineFlag {
-	case "serial", "parallel":
-		bench.EngineKind = *engineFlag
-	default:
-		fmt.Fprintf(os.Stderr, "benchtable: unknown engine %q (want serial or parallel)\n", *engineFlag)
-		os.Exit(2)
-	}
 
 	if *compareFlag {
 		if flag.NArg() != 2 {

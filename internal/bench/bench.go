@@ -46,7 +46,7 @@ func bootPopcorn(topo hw.Topology, kernels int) (*core.OS, error) {
 	cc := kernel.DefaultClusterConfig(machine)
 	cc.Kernels = kernels
 	cc.FramesPerKernel = 1 << 16
-	return core.Boot(core.Config{Topology: topo, Cluster: &cc, Engine: EngineKind})
+	return core.Boot(core.Config{Topology: topo, Cluster: &cc})
 }
 
 func bootSMP(topo hw.Topology) (*smp.OS, error) {
@@ -54,7 +54,7 @@ func bootSMP(topo hw.Topology) (*smp.OS, error) {
 }
 
 func bootMK(topo hw.Topology, kernels int) (*multikernel.OS, error) {
-	return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, FramesPerKernel: 1 << 16, Engine: EngineKind})
+	return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, FramesPerKernel: 1 << 16})
 }
 
 // threadCounts returns the sweep of thread counts for scalability figures.

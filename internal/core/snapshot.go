@@ -8,8 +8,8 @@ import (
 // Snapshot renders the OS's current state — per-kernel scheduler load,
 // memory usage, lock contention and message counters — as a human-readable
 // report, the reproduction's stand-in for /proc. Harnesses call it between
-// runs or at quiescence; under the parallel engine it runs at a pause
-// point, where visiting every kernel's state is safe by definition.
+// runs or at quiescence, where visiting every kernel's state is a
+// diagnostic, not a modeled cross-kernel access.
 //
 //popcornvet:allow kernlocal diagnostic whole-machine report taken at quiescence or a pause point
 func (o *OS) Snapshot() string {

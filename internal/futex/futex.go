@@ -71,9 +71,9 @@ type Service struct {
 	node     msg.NodeID
 	ep       *msg.Endpoint
 	resolver Resolver
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
+	//popcornvet:allow kernlocal machine-wide metrics: commutative counters outside the modeled kernels, so no kernel reads another's state through them (DESIGN.md §11)
 	metrics *stats.Registry
-	//popcornvet:allow kernlocal the cross-kernel invariant observer by design; runs in the serialised global-lane phase (DESIGN.md §15)
+	//popcornvet:allow kernlocal the cross-kernel invariant observer by design: it checks every kernel and models none (DESIGN.md §11)
 	checker *sanitize.Checker
 	// homeCore is the representative core used to charge value-check
 	// accesses performed by the home-side handler.

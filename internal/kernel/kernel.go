@@ -30,13 +30,6 @@ type Kernel struct {
 	TG      *threadgroup.Service
 	Futex   *futex.Service
 	Metrics *stats.Registry
-	// Lane is this kernel's affinity view of the engine: events and
-	// processes created through it carry the kernel tag the parallel engine
-	// dispatches concurrently. All of this kernel's services are built over
-	// it, so their engine interactions are kernel-tagged end to end; work
-	// that touches the fabric or another kernel must go through a merge
-	// event instead (DESIGN.md §15).
-	Lane sim.Engine
 }
 
 // LockedFrames is a kernel's physical allocator behind its local zone lock,
@@ -175,19 +168,14 @@ func Boot(e sim.Engine, machine *hw.Machine, cfg ClusterConfig, metrics *stats.R
 		if err != nil {
 			return nil, err
 		}
-		// Every service of kernel k is built over k's lane view, so the
-		// engine work they create is kernel-tagged. The tag is inert under
-		// the serial engine; under the parallel engine it is what lets
-		// same-instant work on different kernels dispatch concurrently.
-		lane := e.Lane(k)
-		sch, err := sched.New(lane, machine, cores, metrics)
+		sch, err := sched.New(e, machine, cores, metrics)
 		if err != nil {
 			return nil, err
 		}
-		frames := NewLockedFrames(lane, machine, alloc, false, perKernel)
-		vms := vm.NewService(lane, machine, fabric, msg.NodeID(k), frames, perKernel, metrics)
-		tgs := threadgroup.NewService(lane, machine, fabric, msg.NodeID(k), vms, cfg.TG, metrics)
-		fx := futex.NewService(lane, fabric, msg.NodeID(k), cores[0], tgs, metrics)
+		frames := NewLockedFrames(e, machine, alloc, false, perKernel)
+		vms := vm.NewService(e, machine, fabric, msg.NodeID(k), frames, perKernel, metrics)
+		tgs := threadgroup.NewService(e, machine, fabric, msg.NodeID(k), vms, cfg.TG, metrics)
+		fx := futex.NewService(e, fabric, msg.NodeID(k), cores[0], tgs, metrics)
 		cl.Kernels = append(cl.Kernels, &Kernel{
 			Node:    msg.NodeID(k),
 			Machine: machine,
@@ -198,7 +186,6 @@ func Boot(e sim.Engine, machine *hw.Machine, cfg ClusterConfig, metrics *stats.R
 			TG:      tgs,
 			Futex:   fx,
 			Metrics: metrics,
-			Lane:    lane,
 		})
 	}
 	return cl, nil

@@ -14,13 +14,6 @@ import (
 type Endpoint struct {
 	f    *Fabric
 	node NodeID
-	// eng is this kernel's lane view of the engine (sim.Engine.Lane keyed by
-	// the node ID): events and processes created through it carry the
-	// kernel-affinity tag the parallel engine dispatches concurrently.
-	// Kernel-local compute schedules through eng; the dispatcher and
-	// everything that touches the fabric's shared wire state stay on the
-	// root engine (the merge plane, DESIGN.md §15).
-	eng sim.Engine
 
 	// queue[qhead:] is the inbound backlog; the dispatcher advances qhead
 	// instead of reslicing and resets both once drained, so the backing
@@ -112,7 +105,6 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 	ep := &Endpoint{
 		f:            f,
 		node:         node,
-		eng:          f.e.Lane(int(node)),
 		hasWork:      sim.NewCond(),
 		handlers:     make(map[Type]Handler),
 		handlerNames: make(map[Type]string),
@@ -126,13 +118,8 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 // Node returns the kernel this endpoint belongs to.
 func (ep *Endpoint) Node() NodeID { return ep.node }
 
-// Engine returns this kernel's lane view of the engine. Work scheduled or
-// spawned through it carries the kernel-affinity tag: under the parallel
-// engine, same-instant events on distinct kernels execute concurrently,
-// subject to the parallel dispatch contract (DESIGN.md §15) — lane work
-// must stay kernel-local and must not enter the fabric except through a
-// merge event.
-func (ep *Endpoint) Engine() sim.Engine { return ep.eng }
+// Engine returns the engine the fabric runs on.
+func (ep *Endpoint) Engine() sim.Engine { return ep.f.e }
 
 // Collector returns the span collector attached to the endpoint's fabric
 // (nil when tracing is detached). Protocol services read it here so one
@@ -466,10 +453,9 @@ func (ep *Endpoint) prepare(m *Message) {
 // zombie heartbeat cannot feed the failure detector — then every surviving
 // delivery refreshes the detector's clock, and heartbeats are consumed here
 // without ever touching the queue, tracer, or observer. This IS the
-// fabric's serialised delivery step — the one place allowed to touch a
-// peer's queue, and the parallel engine's merge point.
+// fabric's delivery step — the one place allowed to touch a peer's queue.
 //
-//popcornvet:allow kernlocal the serialised delivery step itself; runs in the parallel engine's merge phase
+//popcornvet:allow kernlocal the fabric's delivery step is the wire itself: it is where one kernel's message lands in another's queue (DESIGN.md §11)
 //popcornvet:hotpath
 func (f *Fabric) deliver(m *Message) {
 	dst := f.endpoints[m.To]

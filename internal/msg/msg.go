@@ -310,7 +310,7 @@ type Fabric struct {
 	// nodeCore maps each kernel to a representative core, used for
 	// NUMA-aware IPI and transfer costs.
 	nodeCore []int
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
+	//popcornvet:allow kernlocal machine-wide metrics: commutative counters outside the modeled kernels, so no kernel reads another's state through them (DESIGN.md §11)
 	metrics *stats.Registry
 	nextSeq uint64
 	// wires holds the per-directed-pair rings. Slot order is reserved when

@@ -63,7 +63,7 @@ type msgKey struct {
 type Config struct {
 	// Trace, when set, receives san.* protocol events and is mined for the
 	// page history attached to violations.
-	//popcornvet:allow kernlocal the checker is the cross-kernel observer by design; it runs in the serialised global-lane phase (DESIGN.md §15)
+	//popcornvet:allow kernlocal the checker is the cross-kernel observer by design: it checks every kernel and models none (DESIGN.md §11)
 	Trace *trace.Buffer
 	// FailFast makes coherence violations panic in the offending proc
 	// (unwound by the engine into a run failure) instead of only being

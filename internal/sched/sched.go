@@ -28,7 +28,7 @@ type Scheduler struct {
 	machine *hw.Machine
 	coreIDs []int
 	quantum time.Duration
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
+	//popcornvet:allow kernlocal machine-wide metrics: commutative counters outside the modeled kernels, so no kernel reads another's state through them (DESIGN.md §11)
 	metrics *stats.Registry
 
 	free    []int // free global core IDs, LIFO for cache warmth

@@ -5,7 +5,7 @@ package sim
 // capacity, and receives on a closed channel drain the buffer and then
 // report !ok. All operations take effect in deterministic engine order.
 type Chan[T any] struct {
-	e      *core
+	e      *engine
 	label  string
 	cap    int
 	buf    []T

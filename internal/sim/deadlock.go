@@ -54,7 +54,7 @@ type ProcWait struct {
 	// resource, when known (0/"" otherwise).
 	HolderPID  int64
 	HolderName string // see HolderPID
-	Daemon     bool // whether the blocked process was spawned with SpawnDaemon
+	Daemon     bool   // whether the blocked process was spawned with SpawnDaemon
 }
 
 // DeadlockError is returned by Run when blocked processes remain but the
@@ -102,7 +102,7 @@ func (e *DeadlockError) Error() string {
 // (a daemon parked on its service condition variable is idle, not stuck).
 //
 //popcornvet:coldpath
-func (e *core) buildDeadlockError() *DeadlockError {
+func (e *engine) buildDeadlockError() *DeadlockError {
 	de := &DeadlockError{At: e.now}
 	// procsByID already yields ascending PIDs, so Waits needs no re-sort.
 	for _, p := range e.procsByID() {
@@ -180,8 +180,7 @@ type invariant struct {
 // drains (simulation quiescence) and, if WithInvariantInterval enabled
 // periodic checking, every interval of virtual time. A non-nil return fails
 // the run, pinpointing the first virtual instant the model went wrong.
-func (v *view) Invariant(name string, fn func() error) {
-	e := v.c
+func (e *engine) Invariant(name string, fn func() error) {
 	//popcornvet:bounded setup-time registration; the invariant set is fixed before the run
 	e.invariants = append(e.invariants, invariant{name: name, fn: fn})
 }
@@ -191,13 +190,13 @@ func (v *view) Invariant(name string, fn func() error) {
 // (in addition to the always-on check at quiescence). d <= 0 disables the
 // periodic checks.
 func WithInvariantInterval(d time.Duration) Option {
-	return func(e *core) { e.invInterval = d }
+	return func(e *engine) { e.invInterval = d }
 }
 
 // checkInvariants runs every registered invariant, recording the first
 // failure into the engine. It sits on the dispatch loop's periodic sweep,
 // but only the (terminal) failure path allocates.
-func (e *core) checkInvariants() {
+func (e *engine) checkInvariants() {
 	for _, inv := range e.invariants {
 		if err := inv.fn(); err != nil {
 			//popcornvet:allow hotalloc invariant-failure path ends the run

@@ -158,3 +158,23 @@ func TestInvariantPeriodic(t *testing.T) {
 		t.Fatalf("quiescence-only Run = %v, want nil (violation healed)", err)
 	}
 }
+
+// TestEngineEquivalenceInvariants pins where periodic invariant sweeps
+// interleave with dispatch: on the seeded mixed workload the sweep count is
+// fixed, and a run with sweeps is equivalent to one without, because a
+// sweep observes the model but never perturbs the schedule.
+func TestEngineEquivalenceInvariants(t *testing.T) {
+	for _, shuffle := range []bool{false, true} {
+		plain := runWorkload(t, buildMixed, 5, shuffle, 0, 0)
+		swept := runWorkload(t, buildMixed, 5, shuffle, 0, 2)
+		if swept.digest() != plain.digest() {
+			t.Fatalf("shuffle %v: sweeps changed the run: digest %#x, want %#x", shuffle, swept.digest(), plain.digest())
+		}
+		if !shuffle && swept.sweeps != 7 {
+			t.Fatalf("mixed workload ran %d invariant sweeps over %d events, want pinned 7", swept.sweeps, swept.events)
+		}
+		if swept.sweeps == 0 {
+			t.Fatalf("shuffle %v: invariant never ran", shuffle)
+		}
+	}
+}

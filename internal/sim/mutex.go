@@ -30,7 +30,7 @@ func (s *LockStats) recordWait(w time.Duration) {
 // Mutex is a simulated mutual-exclusion lock with FIFO handoff and
 // contention accounting.
 type Mutex struct {
-	e          *core
+	e          *engine
 	label      string
 	owner      *Proc
 	q          []*mutexWaiter
@@ -133,7 +133,7 @@ func (m *Mutex) Stats() LockStats { return m.stats }
 // writer queues, new readers wait behind it. This mirrors the Linux
 // rw_semaphore behaviour that makes mmap_sem a scalability bottleneck.
 type RWMutex struct {
-	e          *core
+	e          *engine
 	label      string
 	readers    int
 	writer     *Proc

@@ -23,33 +23,33 @@ type ProcObserver interface {
 
 // SetProcObserver attaches o to the engine. Pass nil to detach. The engine
 // pays only a nil-check per scheduling edge when detached.
-func (v *view) SetProcObserver(o ProcObserver) { v.c.observer = o }
+func (e *engine) SetProcObserver(o ProcObserver) { e.observer = o }
 
-func (e *core) observeStarted(child *Proc) {
+func (e *engine) observeStarted(child *Proc) {
 	if e.observer != nil {
 		e.observer.ProcStarted(e.current, child)
 	}
 }
 
-func (e *core) observeWoken(woken *Proc) {
+func (e *engine) observeWoken(woken *Proc) {
 	if e.observer != nil && e.current != woken {
 		e.observer.ProcWoken(e.current, woken)
 	}
 }
 
-func (e *core) observeFinished(p *Proc) {
+func (e *engine) observeFinished(p *Proc) {
 	if e.observer != nil {
 		e.observer.ProcFinished(p)
 	}
 }
 
-func (e *core) observeAcquire(p *Proc, key any) {
+func (e *engine) observeAcquire(p *Proc, key any) {
 	if e.observer != nil {
 		e.observer.SyncAcquire(p, key)
 	}
 }
 
-func (e *core) observeRelease(p *Proc, key any) {
+func (e *engine) observeRelease(p *Proc, key any) {
 	if e.observer != nil {
 		e.observer.SyncRelease(p, key)
 	}

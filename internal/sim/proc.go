@@ -8,11 +8,9 @@ import (
 // Proc is a simulated process: a goroutine that runs cooperatively under the
 // engine. A Proc may only call blocking primitives (Sleep, Suspend, channel
 // and mutex operations) from its own goroutine while it is the running
-// process. A Proc spawned through a lane view is lane-affine: its dispatch
-// events carry the lane tag, and under the parallel engine it runs in the
-// lane phase, subject to the parallel dispatch contract (DESIGN.md §15).
+// process.
 type Proc struct {
-	v        *view
+	e        *engine
 	id       int64
 	name     string
 	resume   chan struct{}
@@ -44,34 +42,30 @@ type Proc struct {
 // Spawn starts fn as a new simulated process. The process begins running at
 // the current virtual time (as a scheduled event, so the caller continues
 // first). The name is used in diagnostics.
-func (v *view) Spawn(name string, fn func(p *Proc)) *Proc {
-	return v.spawn(name, false, fn)
+func (e *engine) Spawn(name string, fn func(p *Proc)) *Proc {
+	return e.spawn(name, false, fn)
 }
 
 // SpawnDaemon starts fn as a daemon process: a service loop that is expected
 // to remain blocked when the simulation quiesces, and therefore does not
 // trigger deadlock detection in Run.
-func (v *view) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return v.spawn(name, true, fn)
+func (e *engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
+	return e.spawn(name, true, fn)
 }
 
-func (v *view) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
-	c := v.c
-	if c.par != nil && c.laneSlotActive(v.lane) != nil {
-		panic(fmt.Sprintf("sim: Spawn(%q) from a parallel lane event; schedule a merge event to spawn", name))
-	}
-	c.nextPID++
+func (e *engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
+	e.nextPID++
 	p := &Proc{
-		v:      v,
-		id:     c.nextPID,
+		e:      e,
+		id:     e.nextPID,
 		name:   name,
 		resume: make(chan struct{}),
 		parked: make(chan struct{}),
 		daemon: daemon,
 	}
-	p.dispatchFn = func() { c.dispatch(p) }
-	c.procs[p.id] = p
-	c.observeStarted(p)
+	p.dispatchFn = func() { e.dispatch(p) }
+	e.procs[p.id] = p
+	e.observeStarted(p)
 	//popcornvet:allow simtime cooperative procs are implemented as parked goroutines; the engine serialises all hand-offs
 	go func() {
 		<-p.resume
@@ -87,21 +81,10 @@ func (v *view) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 					failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 				}
 			}
-			if s := c.laneSlotActive(p.v.lane); s != nil {
-				// Lane-phase teardown: the proc-table delete, observer call,
-				// and failure record are engine effects; they commit at the
-				// barrier in canonical order, which keeps "first failure
-				// wins" deterministic across lanes.
-				s.deferFinish(p)
-				if failure != nil {
-					s.deferFail(failure)
-				}
-			} else {
-				delete(c.procs, p.id)
-				c.observeFinished(p)
-				if failure != nil {
-					c.fail(failure)
-				}
+			delete(e.procs, p.id)
+			e.observeFinished(p)
+			if failure != nil {
+				e.fail(failure)
 			}
 			p.parked <- struct{}{}
 		}()
@@ -111,34 +94,23 @@ func (v *view) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 		}
 		fn(p)
 	}()
-	v.Schedule(0, p.dispatchFn)
+	e.Schedule(0, p.dispatchFn)
 	return p
 }
 
-// dispatch hands the CPU to p until it parks or finishes. Under the
-// parallel engine, a lane proc's dispatch runs on its lane's worker with
-// slot-local current tracking; the serial path is unchanged.
+// dispatch hands the CPU to p until it parks or finishes.
 //
 //popcornvet:hotpath
-func (c *core) dispatch(p *Proc) {
+func (e *engine) dispatch(p *Proc) {
 	if p.finished {
 		return
 	}
-	if s := c.laneSlotActive(p.v.lane); s != nil {
-		prev := s.current
-		s.current = p
-		p.waking = false
-		p.resume <- struct{}{}
-		<-p.parked
-		s.current = prev
-		return
-	}
-	prev := c.current
-	c.current = p
+	prev := e.current
+	e.current = p
 	p.waking = false
 	p.resume <- struct{}{}
 	<-p.parked
-	c.current = prev
+	e.current = prev
 }
 
 // park returns control from the running process to the engine and blocks
@@ -153,44 +125,20 @@ func (p *Proc) park() {
 }
 
 // wake schedules p to resume at the current virtual time. It is idempotent
-// while a wake is pending. During a parallel lane phase the wake defers to
-// the commit step; this path is only correct when the caller runs on p's
-// own lane — cross-lane wakes go through Engine.Wake on the caller's view.
+// while a wake is pending.
 //
 //popcornvet:hotpath
 func (p *Proc) wake() {
 	if p.waking || p.finished {
 		return
 	}
-	c := p.v.c
-	if s := c.laneSlotActive(p.v.lane); s != nil {
-		// Deferred wholesale: the commit step re-runs this wake (including
-		// the idempotence check) in canonical order, so duplicate deferred
-		// wakes collapse exactly as duplicate serial wakes do.
-		s.deferWake(p, s.current)
-		return
-	}
 	p.waking = true
-	c.observeWoken(p)
-	p.v.Schedule(0, p.dispatchFn)
+	p.e.observeWoken(p)
+	p.e.Schedule(0, p.dispatchFn)
 }
 
-// Wake schedules p to resume at the current virtual time, from any lane.
-// From a lane event it is the one legal way to wake a process on another
-// lane (or an untagged process): the wake is deferred into the caller's
-// effect buffer and committed in canonical order at the batch barrier. In
-// serial context it is p.Resume.
-func (v *view) Wake(p *Proc) {
-	if s := v.c.laneSlotActive(v.lane); s != nil {
-		s.deferWake(p, s.current)
-		return
-	}
-	p.wake()
-}
-
-// Engine returns the engine view this process was spawned through: the
-// root engine for untagged processes, the lane view for lane-affine ones.
-func (p *Proc) Engine() Engine { return p.v }
+// Engine returns the engine this process runs on.
+func (p *Proc) Engine() Engine { return p.e }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
@@ -199,10 +147,7 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) ID() int64 { return p.id }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.v.c.now }
-
-// Lane returns the lane this process is affine to, or GlobalLane.
-func (p *Proc) Lane() int { return p.v.lane }
+func (p *Proc) Now() Time { return p.e.now }
 
 // Span returns the causal-tracing span ID this process currently runs
 // under (zero when none). The engine itself never consults it.
@@ -223,7 +168,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	p.waking = true
-	p.v.Schedule(d, p.dispatchFn)
+	p.e.Schedule(d, p.dispatchFn)
 	p.park()
 }
 
@@ -244,9 +189,7 @@ func (p *Proc) Suspend() {
 }
 
 // Resume wakes a process parked in Suspend. Waking a process that is not
-// suspended (or already scheduled to wake) is a no-op. From a parallel
-// lane event, Resume is only legal toward a process on the caller's own
-// lane — use Engine.Wake on the caller's view for anything else.
+// suspended (or already scheduled to wake) is a no-op.
 func (p *Proc) Resume() { p.wake() }
 
 // Finished reports whether the process function has returned.
@@ -265,7 +208,7 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.killed = true
-	if p == p.v.c.current {
+	if p == p.e.current {
 		panic(error(ErrKilled))
 	}
 	p.wake()

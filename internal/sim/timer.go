@@ -15,7 +15,7 @@ type Timer struct {
 
 // AfterFunc arranges for fn to run in engine context after d of virtual
 // time. Stop cancels it.
-func (e *view) AfterFunc(d time.Duration, fn func()) *Timer {
+func (e *engine) AfterFunc(d time.Duration, fn func()) *Timer {
 	t := &Timer{e: e}
 	t.handle = e.Schedule(d, func() {
 		t.fired = true
@@ -26,7 +26,7 @@ func (e *view) AfterFunc(d time.Duration, fn func()) *Timer {
 
 // NewTimer returns a timer that fires after d; a process blocks on it with
 // Wait.
-func (e *view) NewTimer(d time.Duration) *Timer {
+func (e *engine) NewTimer(d time.Duration) *Timer {
 	t := &Timer{e: e}
 	t.handle = e.Schedule(d, func() {
 		t.fired = true

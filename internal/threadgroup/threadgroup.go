@@ -109,9 +109,9 @@ type Service struct {
 	//popcornvet:allow kernlocal read-mostly origin-routing and successor tables; handler paths only read them, and promotions mutate them in the serialised handover step
 	fabric *msg.Fabric
 	vmsvc  *vm.Service
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
+	//popcornvet:allow kernlocal machine-wide metrics: commutative counters outside the modeled kernels, so no kernel reads another's state through them (DESIGN.md §11)
 	metrics *stats.Registry
-	//popcornvet:allow kernlocal the cross-kernel invariant observer by design; runs in the serialised global-lane phase (DESIGN.md §15)
+	//popcornvet:allow kernlocal the cross-kernel invariant observer by design: it checks every kernel and models none (DESIGN.md §11)
 	checker *sanitize.Checker
 	cfg     Config
 

@@ -9,7 +9,7 @@ import (
 // DetOrder flags nondeterministic ordering in event-visible code: the bug
 // class where a run's *result* is right but its event or trace order
 // differs between processes or runs, which breaks byte-identical replay —
-// the property the parallel engine's deterministic merge depends on. In
+// the property schedule exploration and the golden outputs depend on. In
 // every function reachable from a handler root (reach.go) of a kernel-side
 // package, plus the whole export surface of the trace package, it reports:
 //

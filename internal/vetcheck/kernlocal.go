@@ -7,10 +7,10 @@ import (
 	"sort"
 )
 
-// KernLocal enforces the replicated-kernel locality contract the parallel
-// event engine will rely on (DESIGN.md §11): code executing on one kernel's
-// event path must not read or write another kernel's mutable state except
-// by sending messages through its own endpoint. Three access shapes break
+// KernLocal enforces the replicated-kernel share-nothing rule (DESIGN.md
+// §11): code executing on one kernel's event path must not read or write
+// another kernel's mutable state except by sending messages through its own
+// endpoint. Three access shapes break
 // that promise and are flagged in every function reachable from a handler
 // root (reach.go):
 //
@@ -27,12 +27,12 @@ import (
 //     trace.Collector, trace.Buffer, stats.Registry, msg.Fabric) that is
 //     referenced from handler-reachable code. These are reported once, at
 //     the field declaration: each must carry an allow-directive stating why
-//     concurrent handler access will be safe (or become safe) under the
-//     parallel engine.
+//     sharing it across kernels does not break the share-nothing rule.
 //
-// The serial engine makes all of these benign today; the analyzer exists so
-// every such site is either removed or carries a written justification the
-// parallel-engine refactor can audit.
+// The engine runs one event at a time, so none of these is a host data
+// race; each is a modeling shortcut — a kernel reading state that on real
+// hardware would cost a message. The analyzer exists so every such site is
+// either removed or carries a written justification a reviewer can audit.
 type KernLocal struct{}
 
 // Name implements Analyzer.
@@ -89,24 +89,24 @@ func checkLocality(t *Tree, body ast.Node, usedSelectors map[string]bool) []Find
 				if len(node.Args) == 1 {
 					flag(node.Pos(), "handler path obtains a kernel endpoint by node ID; "+
 						"cross-kernel interaction must go through this kernel's own cached endpoint "+
-						"(Send/Call), not a peer's — the parallel engine runs peers concurrently")
+						"(Send/Call), not a peer's — kernels share nothing")
 				}
 			case "Kernel":
 				if len(node.Args) == 1 {
 					flag(node.Pos(), "handler path dereferences the cluster table (.Kernel(n)); "+
-						"touching a foreign *Kernel's state from an event handler races under the "+
-						"parallel engine — route the operation through msg instead")
+						"touching a foreign *Kernel's state from an event handler breaks the "+
+						"share-nothing rule — route the operation through msg instead")
 				}
 			}
 		case *ast.IndexExpr:
 			switch name := finalSelectorName(node.X); name {
 			case "Kernels":
 				flag(node.Pos(), "handler path indexes the cluster table (.Kernels[i]); "+
-					"touching a foreign *Kernel's state from an event handler races under the "+
-					"parallel engine — route the operation through msg instead")
+					"touching a foreign *Kernel's state from an event handler breaks the "+
+					"share-nothing rule — route the operation through msg instead")
 			case "endpoints":
 				flag(node.Pos(), "handler path indexes the endpoint table directly; "+
-					"only the fabric's serialised delivery step may touch a peer's queue")
+					"only the fabric's delivery step may touch a peer's queue")
 			}
 		case *ast.RangeStmt:
 			if finalSelectorName(node.X) == "Kernels" {
@@ -156,8 +156,8 @@ func checkInfraFields(t *Tree, pkg *Package, usedSelectors map[string]bool) []Fi
 							Pos:  t.Fset.Position(name.Pos()),
 							Rule: "kernlocal",
 							Message: fmt.Sprintf("field %s.%s holds cross-kernel shared infrastructure (%s) "+
-								"reached from handler paths; annotate why concurrent handler access is "+
-								"(or will be made) safe under the parallel engine, or make it per-kernel",
+								"reached from handler paths; annotate why sharing it across kernels keeps "+
+								"the share-nothing rule, or make it per-kernel",
 								ts.Name.Name, name.Name, infra),
 						})
 					}

@@ -134,7 +134,7 @@ import (
 type Service struct {
 	ep *msg.Endpoint
 	// metrics counters are bumped from every handler.
-	//popcornvet:allow kernlocal counters become per-kernel shards before the parallel engine
+	//popcornvet:allow kernlocal commutative counters outside the modeled kernels
 	metrics *stats.Registry
 	// unused from handler paths: no annotation required.
 	buf *trace.Buffer

@@ -150,7 +150,7 @@ type Service struct {
 	node   msg.NodeID
 	ep     *msg.Endpoint
 	frames FrameSource
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
+	//popcornvet:allow kernlocal machine-wide metrics: commutative counters outside the modeled kernels, so no kernel reads another's state through them (DESIGN.md §11)
 	metrics *stats.Registry
 	spaces  map[GID]*Space
 	// localCores is how many cores this kernel drives; TLB shootdowns on a
@@ -170,7 +170,7 @@ type Service struct {
 
 	// checker, when attached, shadows every grant, revoke and access this
 	// kernel performs; nil costs one comparison per hook.
-	//popcornvet:allow kernlocal the cross-kernel invariant observer by design; runs in the serialised global-lane phase (DESIGN.md §15)
+	//popcornvet:allow kernlocal the cross-kernel invariant observer by design: it checks every kernel and models none (DESIGN.md §11)
 	checker *sanitize.Checker
 	// injectSkipRevoke deliberately breaks the protocol for sanitizer
 	// tests: invalidations destined for skipRevokeTarget are silently
