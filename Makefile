@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline bench-compare popcornmc soak soak-overload soak-failover test perfbench-test bench trace-demo
+.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline bench-compare popcornmc soak test perfbench-test bench trace-demo
 
 verify: build vet escapes test perfbench-test popcornmc soak trace-demo
 
@@ -61,26 +61,20 @@ popcornmc:
 	$(GO) run ./cmd/popcornmc -workload migration -seeds 16 -faults
 	$(GO) run ./cmd/popcornmc -workload futex -seeds 16 -faults
 
-# Chaos soak: crash -> heal -> crash kernels under message noise with the
-# sanitizer attached, asserting every lost recoverable thread is restarted
-# from its checkpoint; see DESIGN.md §9. The overload soak layers 10x
-# offered load, a gray link and a crash-heal cycle over the flow-control
-# plane and asserts the backlog stays credit-bounded while the breaker runs
-# a full open -> half-open -> close cycle; see DESIGN.md §13. The failover
-# soak crashes the origin kernel on a protocol-relative trigger with the
-# origin-replication plane attached and asserts the ring successor promotes
-# with zero reclaimed pages, zero orphaned exits and the stale origin
-# fenced; see DESIGN.md §14.
+# The three soaks, 16 seeds each (DESIGN.md §9, §13, §14). chaos crashes,
+# heals and re-crashes kernels under message noise and asserts restarts
+# never exceed losses and some lost thread restarts from its checkpoint.
+# overload
+# runs 10x offered load, a gray link and a crash-heal over the flow-control
+# plane and asserts the backlog stays credit-bounded, a full breaker cycle,
+# a rejoin, bounded control-lane wait and shed load. failover kills the
+# origin kernel mid-replication-stream with the failover plane attached and
+# asserts a promotion, zero reclaimed pages and zero orphaned exits. A
+# failing seed prints its replay command.
 soak:
-	$(GO) run ./cmd/popcornmc -soak -seeds 16
-	$(GO) run ./cmd/popcornmc -soak -overload -seeds 16
-	$(GO) run ./cmd/popcornmc -soak -failover -seeds 16
-
-soak-overload:
-	$(GO) run ./cmd/popcornmc -soak -overload -seeds 16
-
-soak-failover:
-	$(GO) run ./cmd/popcornmc -soak -failover -seeds 16
+	$(GO) run ./cmd/popcornmc -soak chaos -seeds 16
+	$(GO) run ./cmd/popcornmc -soak overload -seeds 16
+	$(GO) run ./cmd/popcornmc -soak failover -seeds 16
 
 test:
 	$(GO) test -race ./...

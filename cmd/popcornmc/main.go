@@ -15,10 +15,14 @@
 // leaks — with dead-peer degradation errors being the only tolerated
 // outcome difference.
 //
-// With -soak the tool instead runs the chaos soak (soak.go): a 4-kernel
-// cluster under crash → heal → crash cycles, a partition and link noise,
-// with recoverable threads that must be lost and restarted from their
-// checkpoints, asserting the end-state recovery invariants per seed.
+// With -soak <name> the tool instead runs one of the soaks (soak.go), each
+// a 4-kernel cluster that must end every seed fully settled: chaos (crash →
+// heal → crash cycles, a partition and link noise, with recoverable threads
+// lost and restarted from their checkpoints), overload (10x offered load, a
+// gray link and a crash-heal cycle against the flow-control plane) and
+// failover (the origin kernel dies mid-replication-stream and its ring
+// successor must promote with zero reclaimed pages and zero orphaned
+// exits).
 //
 // A failing seed is shrunk to the shortest event prefix that still fails
 // (binary search over the engine's event limit — the schedule is a pure
@@ -29,7 +33,7 @@
 //
 //	popcornmc -workload all -seeds 32
 //	popcornmc -workload all -seeds 16 -faults                (fault sweep)
-//	popcornmc -soak -seeds 16                                (chaos soak)
+//	popcornmc -soak chaos -seeds 16                          (one soak)
 //	popcornmc -workload contention -seed 17 -events 4213     (replay a repro)
 //	popcornmc -workload migration -inject skip-revoke=0      (plant a protocol bug)
 package main
@@ -68,22 +72,18 @@ func run() error {
 	inject := flag.String("inject", "", "plant a protocol bug: skip-revoke=K drops invalidations to kernel K")
 	faults := flag.Bool("faults", false, "layer a seed-derived fault plan (drop/dup/delay on all links, plus a kernel crash mid-migration) over the sweep")
 	fseed := flag.Int64("fseed", 0, "fault-plan seed (default: the schedule seed)")
-	soak := flag.Bool("soak", false, "run the chaos soak: crash→heal→crash cycles over recoverable workloads, asserting end-state recovery invariants")
-	overload := flag.Bool("overload", false, "with -soak: run the overload soak instead — 10x offered load, a slow-link window and a crash-heal cycle against the flow-control plane")
-	failover := flag.Bool("failover", false, "with -soak: run the failover soak instead — the origin kernel dies mid-replication-stream with the failover plane on, asserting zero reclaimed pages and zero orphaned exits")
+	soak := flag.String("soak", "", "run this soak instead of the sweep: "+soakNames())
 	traceN := flag.Int("trace", 512, "trace buffer capacity behind violation reports")
 	noShrink := flag.Bool("noshrink", false, "report the failing seed without minimising it")
 	verbose := flag.Bool("v", false, "print a line per seed")
 	flag.Parse()
 
-	if *soak {
-		if *overload {
-			return runOverload(*seeds, *seed, *verbose)
+	if *soak != "" {
+		sc, err := findSoak(*soak)
+		if err != nil {
+			return err
 		}
-		if *failover {
-			return runFailoverSoak(*seeds, *seed, *verbose)
-		}
-		return runSoak(*seeds, *seed, *verbose)
+		return runSoak(sc, *seeds, *seed, *verbose)
 	}
 	injectNode, err := parseInject(*inject)
 	if err != nil {
@@ -94,15 +94,8 @@ func run() error {
 		return err
 	}
 
+	sweep := seedList(*seeds, *seed)
 	for _, wl := range workloads {
-		var sweep []int64
-		if *seed != 0 {
-			sweep = []int64{*seed}
-		} else {
-			for s := int64(1); s <= *seeds; s++ {
-				sweep = append(sweep, s)
-			}
-		}
 		var total uint64
 		for _, s := range sweep {
 			cfg := runCfg{

@@ -35,7 +35,7 @@ import (
 //
 // Like its siblings the analysis is package-local and name-based: appends
 // through locals, via helper calls it cannot see, or in packages that are
-// not kernel-side are invisible. The -overload soak measures the runtime
+// not kernel-side are invisible. The overload soak measures the runtime
 // side of the same contract (queue depth ≤ credits × links).
 type UnboundedQ struct{}
 
