@@ -6,6 +6,7 @@
 // Usage:
 //
 //	benchtable [-scale quick|full] [-exp all|T1,F4,...] [-list] [-trace] [-traceout DIR] [-json FILE]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 //	benchtable -compare OLD.json NEW.json
 //
 // With -json FILE, a machine-readable snapshot of every selected experiment
@@ -25,6 +26,9 @@
 // experiment's spans as Chrome trace_event JSON (<ID>.trace.json), loadable
 // in chrome://tracing or Perfetto. Tracing reads only virtual timestamps the
 // run already produced, so the normal tables are unchanged.
+//
+// -cpuprofile and -memprofile write host CPU and heap-allocation profiles
+// (runtime/pprof) covering the selected experiments, for `go tool pprof`.
 package main
 
 import (
@@ -35,6 +39,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -72,6 +78,8 @@ func main() {
 	traceDir := flag.String("traceout", "", "with -trace, write Chrome trace_event JSON per experiment into this directory")
 	jsonOut := flag.String("json", "", "also write a machine-readable snapshot of every selected experiment to this file")
 	compareFlag := flag.Bool("compare", false, "compare two -json snapshots (OLD NEW) and fail on gen_ns regressions")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the selected experiments to this file")
+	memProfile := flag.String("memprofile", "", "write a host heap-allocation profile of the selected experiments to this file")
 	flag.Parse()
 
 	if *compareFlag {
@@ -112,6 +120,18 @@ func main() {
 				os.Exit(2)
 			}
 			selected = append(selected, exp)
+		}
+	}
+
+	var cpuFile *os.File
+	if *cpuProfile != "" {
+		var err error
+		if cpuFile, err = os.Create(*cpuProfile); err == nil {
+			err = pprof.StartCPUProfile(cpuFile)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchtable: cpuprofile: %v\n", err)
+			os.Exit(2)
 		}
 	}
 
@@ -160,6 +180,19 @@ func main() {
 			}
 		}
 	}
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "benchtable: cpuprofile: %v\n", err)
+			failed++
+		}
+	}
+	if *memProfile != "" {
+		if err := writeMemProfile(*memProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "benchtable: memprofile: %v\n", err)
+			failed++
+		}
+	}
 	if *jsonOut != "" {
 		if err := writeSnapshot(*jsonOut, &snapshot); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtable: json: %v\n", err)
@@ -169,6 +202,21 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// writeMemProfile writes the heap-allocation profile, after a GC so the
+// in-use figures are current, as `go test -memprofile` does.
+func writeMemProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Regression thresholds for -compare: both must be exceeded to fail, so a

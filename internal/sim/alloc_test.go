@@ -87,6 +87,33 @@ func TestSleepWakeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSpawnFinishSteadyStateAllocs pins the spawn path: with the carrier
+// pool warm, a spawn→sleep→finish round trip reuses a pooled coroutine and
+// recycled events, so it allocates only the Proc and its pre-bound dispatch
+// closure.
+func TestSpawnFinishSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	body := func(p *Proc) { p.Sleep(time.Microsecond) }
+	// Warm-up: grow the process table, heap, free list and carrier pool.
+	for i := 0; i < 8; i++ {
+		e.Spawn("worker", body)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Spawn("worker", body)
+		if err := e.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("spawn→sleep→finish steady state allocates %v allocs/op, want ≤ 2 (Proc and dispatch closure)", allocs)
+	}
+}
+
 // TestStaleHandleCannotCancelRecycledEvent locks in the generation fence: a
 // handle kept past its event's firing must not cancel the free-listed event
 // object's next tenant.

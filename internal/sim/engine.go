@@ -22,9 +22,9 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats t as a duration since the engine epoch (e.g. "1.5ms").
 func (t Time) String() string { return time.Duration(t).String() }
 
-// ErrKilled is the panic value used to unwind a process goroutine when the
-// engine shuts down. User code never observes it: the spawn wrapper recovers
-// it before the goroutine exits.
+// ErrKilled is the panic value used to unwind a process body when the
+// engine shuts down. User code never observes it: the process's carrier
+// recovers it when the body returns.
 var ErrKilled = errors.New("sim: process killed by engine shutdown")
 
 // ErrDeadlock is returned by Run when processes remain blocked but no events
@@ -94,7 +94,7 @@ type Engine interface {
 	RunUntil(t Time) error
 	// RunFor processes events for d of virtual time from the current clock.
 	RunFor(d time.Duration) error
-	// Close terminates all live process goroutines.
+	// Close terminates all live processes and their carriers.
 	Close()
 	// BlockedProcs returns the names of non-daemon processes that are alive
 	// but blocked, in PID order.
@@ -135,6 +135,10 @@ type engine struct {
 	// nothing. A plain slice keeps recycling deterministic — sync.Pool
 	// would let wall-clock GC timing decide which objects survive.
 	free []*event
+	// pool holds idle process carriers (carrier.go), LIFO, for the same
+	// reason: steady-state spawning reuses coroutines instead of making
+	// new ones.
+	pool []*carrier
 
 	// invariants are the registered model checks; invInterval > 0 enables
 	// the periodic sweep, nextInvCheck is its high-water mark.
@@ -380,7 +384,7 @@ func (e *engine) blockedCount() int {
 
 // procsByID returns the live process table in ascending PID order. Every
 // loop whose side effects are order-visible (collecting names, building
-// error reports, tearing goroutines down) iterates through this instead of
+// error reports, tearing processes down) iterates through this instead of
 // ranging the map directly, so runs stay bit-identical.
 func (e *engine) procsByID() []*Proc {
 	out := make([]*Proc, 0, len(e.procs))
@@ -404,8 +408,9 @@ func (e *engine) BlockedProcs() []string {
 	return names
 }
 
-// Close terminates all live process goroutines. The engine cannot be used
-// afterwards. It is safe to call multiple times.
+// Close terminates all live processes and their carriers, so a closed
+// engine leaves no goroutine behind. The engine cannot be used afterwards.
+// It is safe to call multiple times.
 func (e *engine) Close() {
 	if e.closed {
 		return
@@ -416,11 +421,14 @@ func (e *engine) Close() {
 			continue
 		}
 		p.killed = true
-		// Resume the goroutine; its blocking primitive panics with
-		// ErrKilled, which the spawn wrapper swallows.
-		p.resume <- struct{}{}
-		<-p.parked
+		// Resume the body; its blocking primitive panics with ErrKilled,
+		// which the carrier swallows before returning to the pool.
+		p.c.next()
 	}
+	for _, c := range e.pool {
+		c.stop()
+	}
+	e.pool = nil
 }
 
 // fail records the first failure.

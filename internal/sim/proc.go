@@ -1,20 +1,24 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 )
 
-// Proc is a simulated process: a goroutine that runs cooperatively under the
-// engine. A Proc may only call blocking primitives (Sleep, Suspend, channel
-// and mutex operations) from its own goroutine while it is the running
-// process.
+// Proc is a simulated process: a function body that runs cooperatively
+// under the engine on a coroutine (a pooled carrier, see carrier.go). A Proc
+// may only call blocking primitives (Sleep, Suspend, channel and mutex
+// operations) from its own body while it is the running process.
+//
+// A Proc is never reused: each Spawn makes a new one, so a stale reference
+// to a finished process (a mutex holder, a pending dispatch, a waiter)
+// finds it finished and cannot touch the carrier's next tenant. A body that
+// calls runtime.Goexit (t.FailNow in a test) still finishes, but the
+// coroutine passes the Goexit on to the goroutine running the engine, and
+// its carrier is never pooled again.
 type Proc struct {
 	e        *engine
 	id       int64
 	name     string
-	resume   chan struct{}
-	parked   chan struct{}
 	finished bool
 	killed   bool
 	// daemon processes (message dispatchers, service loops) are expected to
@@ -37,6 +41,8 @@ type Proc struct {
 	// created once at spawn so Sleep/wake/Yield schedule it without
 	// allocating a fresh closure per call.
 	dispatchFn func()
+	// c is the carrier running the body; nil once the process finishes.
+	c *carrier
 }
 
 // Spawn starts fn as a new simulated process. The process begins running at
@@ -59,41 +65,13 @@ func (e *engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 		e:      e,
 		id:     e.nextPID,
 		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
 		daemon: daemon,
 	}
 	p.dispatchFn = func() { e.dispatch(p) }
 	e.procs[p.id] = p
 	e.observeStarted(p)
-	//popcornvet:allow simtime cooperative procs are implemented as parked goroutines; the engine serialises all hand-offs
-	go func() {
-		<-p.resume
-		defer func() {
-			p.finished = true
-			r := recover()
-			var failure error
-			if r != nil {
-				if err, ok := r.(error); ok && err == ErrKilled {
-					// Engine shutdown: exit quietly.
-				} else {
-					//popcornvet:allow hotalloc fatal process-panic path; the run is already lost
-					failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				}
-			}
-			delete(e.procs, p.id)
-			e.observeFinished(p)
-			if failure != nil {
-				e.fail(failure)
-			}
-			p.parked <- struct{}{}
-		}()
-		if p.killed {
-			// Engine closed before the process ever ran.
-			return
-		}
-		fn(p)
-	}()
+	p.c = e.takeCarrier()
+	p.c.p, p.c.fn = p, fn
 	e.Schedule(0, p.dispatchFn)
 	return p
 }
@@ -108,16 +86,14 @@ func (e *engine) dispatch(p *Proc) {
 	prev := e.current
 	e.current = p
 	p.waking = false
-	p.resume <- struct{}{}
-	<-p.parked
+	p.c.next()
 	e.current = prev
 }
 
 // park returns control from the running process to the engine and blocks
 // until the process is dispatched again.
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
+	p.c.yield(struct{}{})
 	p.clearWaitInfo()
 	if p.killed {
 		panic(error(ErrKilled))
@@ -197,8 +173,8 @@ func (p *Proc) Finished() bool { return p.finished }
 
 // Kill terminates the process: the next time it would run (or immediately,
 // if it is the running process) its blocking primitive panics with
-// ErrKilled, which unwinds the goroutine through its defers and which the
-// spawn wrapper swallows. Killing a finished or already-killed process is a
+// ErrKilled, which unwinds the body through its defers and which the
+// carrier swallows. Killing a finished or already-killed process is a
 // no-op. The fault injector uses Kill to model a kernel crash: the dead
 // kernel's processes halt wherever they stand, but their defers still
 // release engine-level resources (waitgroup counts, tracked registries) so
