@@ -28,7 +28,8 @@
 // run already produced, so the normal tables are unchanged.
 //
 // -cpuprofile and -memprofile write host CPU and heap-allocation profiles
-// (runtime/pprof) covering the selected experiments, for `go tool pprof`.
+// (runtime/pprof, via internal/hostprof) covering the selected experiments,
+// for `go tool pprof`.
 package main
 
 import (
@@ -39,12 +40,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/hostprof"
 	"repro/internal/trace"
 )
 
@@ -123,16 +123,10 @@ func main() {
 		}
 	}
 
-	var cpuFile *os.File
-	if *cpuProfile != "" {
-		var err error
-		if cpuFile, err = os.Create(*cpuProfile); err == nil {
-			err = pprof.StartCPUProfile(cpuFile)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtable: cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
+	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtable: %v\n", err)
+		os.Exit(2)
 	}
 
 	failed := 0
@@ -180,18 +174,9 @@ func main() {
 			}
 		}
 	}
-	if cpuFile != nil {
-		pprof.StopCPUProfile()
-		if err := cpuFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtable: cpuprofile: %v\n", err)
-			failed++
-		}
-	}
-	if *memProfile != "" {
-		if err := writeMemProfile(*memProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtable: memprofile: %v\n", err)
-			failed++
-		}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtable: %v\n", err)
+		failed++
 	}
 	if *jsonOut != "" {
 		if err := writeSnapshot(*jsonOut, &snapshot); err != nil {
@@ -202,21 +187,6 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// writeMemProfile writes the heap-allocation profile, after a GC so the
-// in-use figures are current, as `go test -memprofile` does.
-func writeMemProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Regression thresholds for -compare: both must be exceeded to fail, so a

@@ -36,6 +36,11 @@
 //	popcornmc -soak chaos -seeds 16                          (one soak)
 //	popcornmc -workload contention -seed 17 -events 4213     (replay a repro)
 //	popcornmc -workload migration -inject skip-revoke=0      (plant a protocol bug)
+//	popcornmc -soak chaos -cpuprofile mc.cpu -memprofile mc.mem (host profiles)
+//
+// -cpuprofile and -memprofile write host CPU and heap-allocation profiles
+// (runtime/pprof, via internal/hostprof) covering the whole run, for
+// `go tool pprof`, as benchtable's flags of the same names do.
 package main
 
 import (
@@ -49,6 +54,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinj"
+	"repro/internal/hostprof"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/msg"
@@ -64,7 +70,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	wlFlag := flag.String("workload", "all", "workload to explore: contention, migration, futex, all")
 	seeds := flag.Int64("seeds", 32, "sweep seeds 1..N")
 	seed := flag.Int64("seed", 0, "run this single seed instead of sweeping")
@@ -76,7 +82,15 @@ func run() error {
 	traceN := flag.Int("trace", 512, "trace buffer capacity behind violation reports")
 	noShrink := flag.Bool("noshrink", false, "report the failing seed without minimising it")
 	verbose := flag.Bool("v", false, "print a line per seed")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a host heap-allocation profile of the run to this file")
 	flag.Parse()
+
+	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	if *soak != "" {
 		sc, err := findSoak(*soak)

@@ -38,6 +38,13 @@ func testbed() hw.Topology { return hw.Topology{Cores: 64, NUMANodes: 2} }
 // on the testbed (8 kernels x 8 cores).
 const popcornKernels = 8
 
+// Physical memory sizes the experiments boot with: a partition per kernel
+// (popcorn and the multikernel), and a zone per NUMA node (SMP).
+const (
+	framesPerKernel = 1 << 16
+	framesPerNode   = 1 << 18
+)
+
 func bootPopcorn(topo hw.Topology, kernels int) (*core.OS, error) {
 	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
 	if err != nil {
@@ -45,16 +52,16 @@ func bootPopcorn(topo hw.Topology, kernels int) (*core.OS, error) {
 	}
 	cc := kernel.DefaultClusterConfig(machine)
 	cc.Kernels = kernels
-	cc.FramesPerKernel = 1 << 16
+	cc.FramesPerKernel = framesPerKernel
 	return core.Boot(core.Config{Topology: topo, Cluster: &cc})
 }
 
 func bootSMP(topo hw.Topology) (*smp.OS, error) {
-	return smp.Boot(smp.Config{Topology: topo, FramesPerNode: 1 << 18})
+	return smp.Boot(smp.Config{Topology: topo, FramesPerNode: framesPerNode})
 }
 
 func bootMK(topo hw.Topology, kernels int) (*multikernel.OS, error) {
-	return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, FramesPerKernel: 1 << 16})
+	return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, FramesPerKernel: framesPerKernel})
 }
 
 // threadCounts returns the sweep of thread counts for scalability figures.

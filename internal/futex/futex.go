@@ -51,7 +51,10 @@ type waiterRef struct {
 }
 
 type localWaiter struct {
-	p     *sim.Proc
+	p *sim.Proc
+	// gid and addr name the futex word, for the wait label.
+	gid   vm.GID
+	addr  mem.Addr
 	woken bool
 	// parked is true only while p sits in Wait's futex Suspend. A wakeup can
 	// overtake the opWait reply on a faulty fabric, arriving while p is still
@@ -64,6 +67,11 @@ type localWaiter struct {
 	// err, when set by an error wake, is returned from Wait.
 	err error
 }
+
+// String labels the waiter's futex wait in deadlock reports.
+//
+//popcornvet:coldpath
+func (lw *localWaiter) String() string { return fmt.Sprintf("g%d@%#x", lw.gid, uint64(lw.addr)) }
 
 // Service is the per-kernel futex service.
 type Service struct {
@@ -157,7 +165,7 @@ func (s *Service) Wait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64) err
 	}
 	s.nextToken++
 	token := s.nextToken
-	lw := &localWaiter{p: p, home: home}
+	lw := &localWaiter{p: p, gid: gid, addr: addr, home: home}
 	s.waiters[token] = lw
 	defer delete(s.waiters, token)
 	s.metrics.Counter("futex.wait").Inc()
@@ -197,7 +205,7 @@ func (s *Service) Wait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64) err
 		return ErrWouldBlock
 	}
 	if !lw.woken {
-		p.SetWaitInfo("futex", fmt.Sprintf("g%d@%#x", gid, uint64(addr)), nil)
+		p.SetWaitStringer("futex", lw)
 		lw.parked = true
 		p.Suspend()
 		lw.parked = false

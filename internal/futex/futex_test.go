@@ -3,6 +3,7 @@ package futex
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -355,5 +356,41 @@ func TestRequeueSameWordPair(t *testing.T) {
 	})
 	if err := ev.e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestDeadlockReportNamesFutexWord leaves a remote waiter with no waker:
+// the run must end in a deadlock report whose entry for the waiter names
+// the futex word as g<gid>@<addr>.
+func TestDeadlockReportNamesFutexWord(t *testing.T) {
+	ev := newEnv(t, 2)
+	ev.e.Spawn("setup", func(p *sim.Proc) {
+		addr, _ := ev.spaces[0].Map(p, hw.PageSize, mem.ProtRead|mem.ProtWrite)
+		ev.e.Spawn("waiter", func(wp *sim.Proc) {
+			if err := ev.futexs[1].Wait(wp, 1, addr+8, 0); err != nil {
+				t.Errorf("Wait: %v", err)
+			}
+		})
+	})
+	err := ev.e.Run()
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run = %v, want a *sim.DeadlockError", err)
+	}
+	const label = "g1@0x100000008"
+	found := false
+	for _, w := range de.Waits {
+		if w.Name == "waiter" {
+			found = true
+			if w.Kind != "futex" || w.Resource != label {
+				t.Errorf("waiter wait = %+v, want futex %q", w, label)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("report has no entry for the waiter:\n%v", err)
+	}
+	if want := `"waiter" -> futex "` + label + `"`; !strings.Contains(err.Error(), want) {
+		t.Errorf("report missing %q:\n%v", want, err)
 	}
 }

@@ -70,10 +70,18 @@ func (p Prot) String() string {
 // FrameAllocator hands out physical frames from one kernel's partition.
 // Frames are identified globally so a frame's home NUMA node can always be
 // recovered, but each allocator only manages its own contiguous range.
+//
+// Frames are handed out on demand: a bump index covers the frames never
+// handed out since boot, so creating (or resetting) an allocator is O(1) in
+// the partition size, and only frames returned by Free are kept in a list.
 type FrameAllocator struct {
-	node      int // NUMA node the partition lives on
-	start     FrameID
-	count     int
+	node  int // NUMA node the partition lives on
+	start FrameID
+	count int
+	// next is the bump index: [start+next, start+count) were never handed
+	// out since boot.
+	next int
+	// free holds frames returned by Free, reused LIFO before the bump range.
 	free      []FrameID
 	allocated map[FrameID]struct{}
 }
@@ -87,30 +95,32 @@ func NewFrameAllocator(node int, start FrameID, count int) (*FrameAllocator, err
 	if start < 0 {
 		return nil, fmt.Errorf("mem: negative partition start %d", start)
 	}
-	a := &FrameAllocator{
+	return &FrameAllocator{
 		node:      node,
 		start:     start,
 		count:     count,
-		free:      make([]FrameID, 0, count),
 		allocated: make(map[FrameID]struct{}),
-	}
-	// Fill the freelist in descending order so Alloc pops ascending IDs.
-	for i := count - 1; i >= 0; i-- {
-		a.free = append(a.free, start+FrameID(i))
-	}
-	return a, nil
+	}, nil
 }
 
 // Node returns the NUMA node this partition is homed on.
 func (a *FrameAllocator) Node() int { return a.node }
 
 // Alloc returns a free frame or an error when the partition is exhausted.
+// The most recently freed frame is reused first; otherwise frames come in
+// ascending order from the never-handed-out range.
 func (a *FrameAllocator) Alloc() (FrameID, error) {
-	if len(a.free) == 0 {
+	var f FrameID
+	switch {
+	case len(a.free) > 0:
+		f = a.free[len(a.free)-1]
+		a.free = a.free[:len(a.free)-1]
+	case a.next < a.count:
+		f = a.start + FrameID(a.next)
+		a.next++
+	default:
 		return NoFrame, fmt.Errorf("mem: partition [%d,%d) on node %d out of frames", a.start, a.start+FrameID(a.count), a.node)
 	}
-	f := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
 	a.allocated[f] = struct{}{}
 	return f, nil
 }
@@ -134,18 +144,16 @@ func (a *FrameAllocator) Free(f FrameID) error {
 // frames' previous contents are gone with the crash, so there is nothing to
 // free individually.
 func (a *FrameAllocator) Reset() {
+	a.next = 0
 	a.free = a.free[:0]
 	a.allocated = make(map[FrameID]struct{})
-	for i := a.count - 1; i >= 0; i-- {
-		a.free = append(a.free, a.start+FrameID(i))
-	}
 }
 
 // InUse returns the number of allocated frames.
 func (a *FrameAllocator) InUse() int { return len(a.allocated) }
 
 // Available returns the number of free frames.
-func (a *FrameAllocator) Available() int { return len(a.free) }
+func (a *FrameAllocator) Available() int { return len(a.free) + a.count - a.next }
 
 // PTE is one page-table entry.
 type PTE struct {

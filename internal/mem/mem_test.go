@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -215,4 +217,127 @@ func TestPageTableAllSnapshot(t *testing.T) {
 	if _, ok := pt.Lookup(1); !ok {
 		t.Fatal("snapshot mutation leaked into the table")
 	}
+}
+
+// eagerFrames is the reference allocator the lazy one must match: the
+// original design that materialises every frame of the partition up front
+// as a descending free stack, so pops come out ascending and freed frames
+// are reused LIFO.
+type eagerFrames struct {
+	node      int
+	start     FrameID
+	count     int
+	free      []FrameID
+	allocated map[FrameID]bool
+}
+
+func newEagerFrames(node int, start FrameID, count int) *eagerFrames {
+	r := &eagerFrames{node: node, start: start, count: count}
+	r.Reset()
+	return r
+}
+
+func (r *eagerFrames) Reset() {
+	r.free = r.free[:0]
+	r.allocated = make(map[FrameID]bool)
+	for i := r.count - 1; i >= 0; i-- {
+		r.free = append(r.free, r.start+FrameID(i))
+	}
+}
+
+func (r *eagerFrames) Alloc() (FrameID, error) {
+	if len(r.free) == 0 {
+		return NoFrame, fmt.Errorf("mem: partition [%d,%d) on node %d out of frames", r.start, r.start+FrameID(r.count), r.node)
+	}
+	f := r.free[len(r.free)-1]
+	r.free = r.free[:len(r.free)-1]
+	r.allocated[f] = true
+	return f, nil
+}
+
+func (r *eagerFrames) Free(f FrameID) error {
+	if f < r.start || f >= r.start+FrameID(r.count) {
+		return fmt.Errorf("mem: frame %d not in partition [%d,%d)", f, r.start, r.start+FrameID(r.count))
+	}
+	if !r.allocated[f] {
+		return fmt.Errorf("mem: double free of frame %d", f)
+	}
+	delete(r.allocated, f)
+	r.free = append(r.free, f)
+	return nil
+}
+
+// TestFrameAllocatorMatchesEagerReference drives random Alloc/Free/Reset
+// sequences — exhausting small partitions, freeing held frames, frames
+// never handed out, already-freed frames and frames outside the partition —
+// through the lazy allocator and the eager reference side by side. Every
+// step must hand out the same frame, fail with the same error text, and
+// leave the same InUse and Available counts.
+func TestFrameAllocatorMatchesEagerReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		count := 1 + rng.Intn(9)
+		start := FrameID(rng.Intn(3) * 100)
+		lazy, err := NewFrameAllocator(int(seed%2), start, count)
+		if err != nil {
+			t.Fatalf("seed %d: NewFrameAllocator: %v", seed, err)
+		}
+		ref := newEagerFrames(int(seed%2), start, count)
+		var held []FrameID
+		for step := 0; step < 300; step++ {
+			var op string
+			var gotF, wantF FrameID
+			var gotErr, wantErr error
+			switch r := rng.Intn(20); {
+			case r < 9:
+				op = "Alloc"
+				gotF, gotErr = lazy.Alloc()
+				wantF, wantErr = ref.Alloc()
+				if wantErr == nil {
+					held = append(held, wantF)
+				}
+			case r < 15 && len(held) > 0:
+				i := rng.Intn(len(held))
+				gotF = held[i]
+				held = append(held[:i], held[i+1:]...)
+				op = fmt.Sprintf("Free(held %d)", gotF)
+				wantF = gotF
+				gotErr, wantErr = lazy.Free(gotF), ref.Free(gotF)
+			case r < 19:
+				// Any frame in or around the partition: never handed out,
+				// already freed, held, or foreign.
+				gotF = start - 2 + FrameID(rng.Intn(count+4))
+				op = fmt.Sprintf("Free(%d)", gotF)
+				wantF = gotF
+				gotErr, wantErr = lazy.Free(gotF), ref.Free(gotF)
+				if wantErr == nil {
+					for i, h := range held {
+						if h == gotF {
+							held = append(held[:i], held[i+1:]...)
+							break
+						}
+					}
+				}
+			default:
+				op = "Reset"
+				lazy.Reset()
+				ref.Reset()
+				held = held[:0]
+			}
+			if gotF != wantF || errText(gotErr) != errText(wantErr) {
+				t.Fatalf("seed %d step %d %s: lazy (%d, %v), eager (%d, %v)", seed, step, op, gotF, gotErr, wantF, wantErr)
+			}
+			if lazy.InUse() != len(ref.allocated) || lazy.Available() != len(ref.free) {
+				t.Fatalf("seed %d step %d %s: lazy InUse=%d Available=%d, eager InUse=%d Available=%d",
+					seed, step, op, lazy.InUse(), lazy.Available(), len(ref.allocated), len(ref.free))
+			}
+		}
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

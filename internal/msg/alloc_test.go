@@ -96,34 +96,76 @@ func allocsPerMessage(t *testing.T, f *Fabric, e sim.Engine) float64 {
 
 // TestSendDeliverSteadyStateAllocs pins the reliable fabric's send→deliver
 // path at a fixed small constant per message. The remaining allocations are
-// the modeled per-message work: the handler process the dispatcher spawns
-// (goroutine, Proc record, resume channel, registry inserts). Everything
-// else — events, wire entries, ring slots, span names — is recycled.
+// the modeled per-message work: the handler process the dispatcher spawns —
+// its Proc record, its pre-bound dispatch closure, the handler closure and
+// spawnTracked's wrapper, plus amortised growth of the engine's and the
+// endpoint's process tables (the body runs on a pooled carrier, so no
+// goroutine or channel is made). Everything else — events, wire entries,
+// ring slots, span names — is recycled.
 func TestSendDeliverSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
 	got := allocsPerMessage(t, f, e)
-	// Handler-proc spawn costs ~8 allocations per message on go1.x; the
-	// bound is the contract that nothing per-message beyond the spawn
-	// creeps back in (it was ~3x this before pooling).
-	if got > 12 {
-		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 12", got)
+	// The spawn above measures ~4.4 allocations per message; the bound is
+	// the contract that nothing per-message beyond it creeps back in.
+	if got > 6 {
+		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 6", got)
 	}
 }
 
 // TestSendDeliverSteadyStateAllocsFaultsOn repeats the pin with the fault
 // plane attached (empty plan: hardened transport, no injected faults). The
-// extra budget over the reliable path is the dedup table entry per request
-// and its map growth.
+// one allocation over the reliable path (~5.4 per message) is the dedup
+// table entry per request and its map growth.
 func TestSendDeliverSteadyStateAllocsFaultsOn(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
 	f.EnableFaults(&faultinj.Plan{Seed: 1}, FaultConfig{}, FaultHooks{})
 	got := allocsPerMessage(t, f, e)
-	if got > 16 {
-		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 16", got)
+	if got > 7 {
+		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 7", got)
+	}
+}
+
+// TestCallSteadyStateAllocs pins the reliable RPC round trip: a caller
+// issuing one Call per tick against a handler that replies measures ~9.6
+// allocations per call: the request and reply messages, the pending-call
+// record, the handler process spawned for the request, and table growth.
+// Recording the caller's rpc-reply wait adds nothing: its label is rendered
+// only when a deadlock report reads it (formatting it on every wait cost
+// ~1.7 more).
+func TestCallSteadyStateAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := testFabric(t, e)
+	const tick = 10 * time.Microsecond
+	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message { return &Message{Size: 64} })
+	e.SpawnDaemon("caller", func(p *sim.Proc) {
+		for {
+			if _, err := f.Endpoint(0).Call(p, &Message{Type: TypePing, To: 1, Size: 64}); err != nil {
+				t.Errorf("Call: %v", err)
+				return
+			}
+			p.Sleep(tick)
+		}
+	})
+	if err := e.RunFor(100 * tick); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	calls := f.metrics.Counter("msg.rpc")
+	before := calls.Value()
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := e.RunFor(8 * tick); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
+	// AllocsPerRun makes one extra warm-up call of the function.
+	perCall := allocs * (runs + 1) / float64(calls.Value()-before)
+	if perCall > 10 {
+		t.Fatalf("reliable Call allocates %.1f allocs/call, want <= 10", perCall)
 	}
 }
 

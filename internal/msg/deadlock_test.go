@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinj"
 	"repro/internal/sim"
 )
 
@@ -68,10 +69,14 @@ func TestCyclicRPCDeadlockReport(t *testing.T) {
 	for _, w := range de.Waits {
 		waits[w.Name] = w
 	}
-	for _, name := range []string{"proc-k0", "proc-k1"} {
+	// The labels are rendered only when the report is built; pin their text.
+	for name, res := range map[string]string{
+		"proc-k0": "user from k1 seq=1",
+		"proc-k1": "user from k0 seq=2",
+	} {
 		w, ok := waits[name]
-		if !ok || w.Kind != "rpc-reply" {
-			t.Errorf("%s wait = %+v, want rpc-reply", name, w)
+		if !ok || w.Kind != "rpc-reply" || w.Resource != res {
+			t.Errorf("%s wait = %+v, want rpc-reply %q", name, w, res)
 		}
 	}
 	// Both dispatcher daemons must surface as stuck on the user locks, with
@@ -81,7 +86,8 @@ func TestCyclicRPCDeadlockReport(t *testing.T) {
 		"wait-for graph:",
 		`"k0-resource" held by`,
 		`"k1-resource" held by`,
-		"rpc-reply",
+		`"proc-k0" -> rpc-reply "user from k1 seq=1"`,
+		`"proc-k1" -> rpc-reply "user from k0 seq=2"`,
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
@@ -90,4 +96,68 @@ func TestCyclicRPCDeadlockReport(t *testing.T) {
 	if len(de.Waits) < 4 {
 		t.Errorf("report has %d entries, want the 2 callers plus 2 stuck dispatchers:\n%s", len(de.Waits), report)
 	}
+}
+
+// TestWaitLabelsWhileBlocked reads WaitingOn from a probe while a sender
+// is parked on a flow credit and while a caller on the fault plane's
+// hardened path is parked on its reply, pinning both labels' text.
+func TestWaitLabelsWhileBlocked(t *testing.T) {
+	// firstLabel polls target every simulated microsecond and returns the
+	// resource label of its first wait of the given kind.
+	firstLabel := func(e sim.Engine, target *sim.Proc, kind string) *string {
+		label := new(string)
+		e.Spawn("probe", func(p *sim.Proc) {
+			for i := 0; i < 10000 && *label == ""; i++ {
+				p.Sleep(time.Microsecond)
+				if w, ok := target.WaitingOn(); ok && w.Kind == kind {
+					*label = w.Resource
+				}
+			}
+		})
+		return label
+	}
+
+	t.Run("flow-credit", func(t *testing.T) {
+		e := sim.NewEngine(sim.WithSeed(2))
+		defer e.Close()
+		f := flowFabric(t, e, FlowConfig{CreditsPerLink: 1})
+		f.Endpoint(1).Handle(TypeUser, func(p *sim.Proc, m *Message) *Message { return nil })
+		sender := e.Spawn("sender", func(p *sim.Proc) {
+			// The huge message stalls the dispatcher, so the second holds
+			// the link's only credit while the third waits for it.
+			f.Endpoint(0).Send(p, &Message{Type: TypeUser, To: 1, Size: 1 << 20})
+			f.Endpoint(0).Send(p, &Message{Type: TypeUser, To: 1, Size: 64})
+			f.Endpoint(0).Send(p, &Message{Type: TypeUser, To: 1, Size: 64})
+		})
+		label := firstLabel(e, sender, "flow-credit")
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if want := "user to k1"; *label != want {
+			t.Fatalf("flow-credit label = %q, want %q", *label, want)
+		}
+	})
+
+	t.Run("rpc-reply hardened", func(t *testing.T) {
+		e := sim.NewEngine(sim.WithSeed(2))
+		defer e.Close()
+		f := testFabric(t, e)
+		f.EnableFaults(&faultinj.Plan{Seed: 1}, FaultConfig{}, FaultHooks{})
+		f.Endpoint(1).Handle(TypeUser, func(p *sim.Proc, m *Message) *Message {
+			p.Sleep(20 * time.Microsecond)
+			return &Message{Size: 64}
+		})
+		caller := e.Spawn("caller", func(p *sim.Proc) {
+			if _, err := f.Endpoint(0).Call(p, &Message{Type: TypeUser, To: 1, Size: 64}); err != nil {
+				t.Errorf("Call: %v", err)
+			}
+		})
+		label := firstLabel(e, caller, "rpc-reply")
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if want := "user from k1 seq=1"; *label != want {
+			t.Fatalf("rpc-reply label = %q, want %q", *label, want)
+		}
+	})
 }

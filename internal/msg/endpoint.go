@@ -72,6 +72,9 @@ type Endpoint struct {
 type call struct {
 	waiter *sim.Proc
 	to     NodeID
+	// typ and seq identify the request for the caller's wait label.
+	typ Type
+	seq uint64
 	// dstInc is the callee incarnation the request was stamped with; a
 	// rejoin handshake fails calls still waiting on an older incarnation
 	// (their requests are fenced at the rejoined kernel, so no reply can
@@ -290,7 +293,7 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	}
 	defer rpcSpan.End()
 	ep.beginWireSpan(p, m)
-	c := &call{waiter: p, to: m.To, dstInc: m.DstInc}
+	c := &call{waiter: p, to: m.To, typ: m.Type, seq: m.Seq, dstInc: m.DstInc}
 	ep.pending[m.Seq] = c
 	defer delete(ep.pending, m.Seq)
 	ep.f.metrics.Counter("msg.sent").Inc()
@@ -325,7 +328,7 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 		return reply, err
 	}
 	if !c.done {
-		p.SetWaitInfo("rpc-reply", fmt.Sprintf("%v from k%d seq=%d", m.Type, m.To, m.Seq), nil)
+		p.SetWaitStringer("rpc-reply", c)
 		p.Suspend()
 	}
 	if !c.done {
@@ -341,6 +344,13 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	ep.f.metrics.Histogram("msg.rpc.rtt").Observe(rtt)
 	ep.grayObserve(m.To, rtt)
 	return c.reply, nil
+}
+
+// String labels the caller's rpc-reply wait in deadlock reports.
+//
+//popcornvet:coldpath
+func (c *call) String() string {
+	return fmt.Sprintf("%v from k%d seq=%d", c.typ, c.to, c.seq)
 }
 
 // creditWait is the RPC credit-wait bound (zero when the flow plane is
@@ -372,7 +382,7 @@ func (ep *Endpoint) callHardened(p *sim.Proc, m *Message, c *call, start sim.Tim
 			c.timedOut = true
 			p.Resume()
 		})
-		p.SetWaitInfo("rpc-reply", fmt.Sprintf("%v from k%d seq=%d", m.Type, m.To, m.Seq), nil)
+		p.SetWaitStringer("rpc-reply", c)
 		p.Suspend()
 		h.Cancel()
 		if c.done {

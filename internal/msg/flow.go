@@ -186,10 +186,18 @@ type flowLink struct {
 // handoff from a release; timedOut marks waiters that gave up (or whose
 // process was killed mid-wait) so a later release skips them.
 type creditWaiter struct {
-	p        *sim.Proc
+	p *sim.Proc
+	// typ and to identify the blocked message for the wait label.
+	typ      Type
+	to       NodeID
 	granted  bool
 	timedOut bool
 }
+
+// String labels the sender's flow-credit wait in deadlock reports.
+//
+//popcornvet:coldpath
+func (w *creditWaiter) String() string { return fmt.Sprintf("%v to k%d", w.typ, w.to) }
 
 // breaker states for one endpoint's view of one peer.
 const (
@@ -353,7 +361,7 @@ func (ep *Endpoint) acquireCreditSlow(p *sim.Proc, m *Message, lk *flowLink, wai
 		ws = col.Begin(p, "flow.credit-wait", int(ep.node))
 	}
 	start := p.Now()
-	w := &creditWaiter{p: p}
+	w := &creditWaiter{p: p, typ: m.Type, to: m.To}
 	//popcornvet:bounded one waiter per blocked sender process; the process population bounds the queue
 	lk.waiters = append(lk.waiters, w)
 	// Kill-unwind safety: a waiter whose process dies mid-wait (kernel
@@ -380,7 +388,7 @@ func (ep *Endpoint) acquireCreditSlow(p *sim.Proc, m *Message, lk *flowLink, wai
 			p.Resume()
 		})
 	}
-	p.SetWaitInfo("flow-credit", fmt.Sprintf("%v to k%d", m.Type, m.To), nil)
+	p.SetWaitStringer("flow-credit", w)
 	p.Suspend()
 	if wait > 0 {
 		h.Cancel()

@@ -87,6 +87,42 @@ func TestSleepWakeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWaitStringerSuspendResumeZeroAllocs pins a labelled wait: recording
+// a pre-built label with SetWaitStringer and parking on it must not
+// allocate, since the label is rendered only when a report reads it.
+func TestWaitStringerSuspendResumeZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	label := &countingLabel{}
+	waiter := e.SpawnDaemon("waiter", func(p *Proc) {
+		for {
+			p.SetWaitStringer("custom", label)
+			p.Suspend()
+		}
+	})
+	e.SpawnDaemon("waker", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+			waiter.Resume()
+		}
+	})
+	if err := e.RunFor(100 * time.Microsecond); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.RunFor(10 * time.Microsecond); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("labelled suspend→resume steady state allocates %v allocs/op, want 0", allocs)
+	}
+	if label.renders != 0 {
+		t.Fatalf("label rendered %d times with nothing reading it", label.renders)
+	}
+}
+
 // TestSpawnFinishSteadyStateAllocs pins the spawn path: with the carrier
 // pool warm, a spawn→sleep→finish round trip reuses a pooled coroutine and
 // recycled events, so it allocates only the Proc and its pre-bound dispatch

@@ -28,7 +28,20 @@ type WaitInfo struct {
 func (p *Proc) SetWaitInfo(kind, resource string, holder *Proc) {
 	p.waitKind = kind
 	p.waitRes = resource
+	p.waitDesc = nil
 	p.waitHolder = holder
+}
+
+// SetWaitStringer is SetWaitInfo for a resource label that is costly to
+// build: res.String() runs only when WaitingOn or a deadlock report reads
+// the label, not on every wait. res must keep describing the same resource
+// until the process resumes. Passing a pointer the caller already holds
+// makes recording the wait allocation-free.
+func (p *Proc) SetWaitStringer(kind string, res fmt.Stringer) {
+	p.waitKind = kind
+	p.waitRes = ""
+	p.waitDesc = res
+	p.waitHolder = nil
 }
 
 // WaitingOn returns the recorded wait information, if the process is
@@ -37,11 +50,21 @@ func (p *Proc) WaitingOn() (WaitInfo, bool) {
 	if p.waitKind == "" {
 		return WaitInfo{}, false
 	}
-	return WaitInfo{Kind: p.waitKind, Resource: p.waitRes, Holder: p.waitHolder}, true
+	return WaitInfo{Kind: p.waitKind, Resource: p.waitResource(), Holder: p.waitHolder}, true
+}
+
+// waitResource renders the recorded resource label.
+//
+//popcornvet:coldpath
+func (p *Proc) waitResource() string {
+	if p.waitDesc != nil {
+		return p.waitDesc.String()
+	}
+	return p.waitRes
 }
 
 func (p *Proc) clearWaitInfo() {
-	p.waitKind, p.waitRes, p.waitHolder = "", "", nil
+	p.waitKind, p.waitRes, p.waitDesc, p.waitHolder = "", "", nil, nil
 }
 
 // ProcWait is one blocked process in a deadlock report.
@@ -112,7 +135,7 @@ func (e *engine) buildDeadlockError() *DeadlockError {
 		if p.daemon && p.waitKind != "mutex" && p.waitKind != "rwmutex" {
 			continue
 		}
-		w := ProcWait{PID: p.id, Name: p.name, Kind: p.waitKind, Resource: p.waitRes, Daemon: p.daemon}
+		w := ProcWait{PID: p.id, Name: p.name, Kind: p.waitKind, Resource: p.waitResource(), Daemon: p.daemon}
 		if h := p.waitHolder; h != nil {
 			w.HolderPID = h.id
 			w.HolderName = h.name

@@ -178,3 +178,50 @@ func TestEngineEquivalenceInvariants(t *testing.T) {
 		}
 	}
 }
+
+// countingLabel is a wait label that counts how often it is rendered.
+type countingLabel struct{ renders int }
+
+func (c *countingLabel) String() string {
+	c.renders++
+	return "lazy-label"
+}
+
+// TestWaitStringerRendersOnlyWhenRead checks that a label recorded with
+// SetWaitStringer is rendered only when WaitingOn or the deadlock report
+// reads it, never by the waits themselves.
+func TestWaitStringerRendersOnlyWhenRead(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	label := &countingLabel{}
+	waiter := e.Spawn("waiter", func(p *Proc) {
+		// Three waits that are resumed, then one that never is.
+		for i := 0; i < 4; i++ {
+			p.SetWaitStringer("custom", label)
+			p.Suspend()
+		}
+	})
+	e.Spawn("waker", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Microsecond)
+			if i == 1 {
+				w, ok := waiter.WaitingOn()
+				if !ok || w.Kind != "custom" || w.Resource != "lazy-label" {
+					t.Errorf("WaitingOn = %+v, %v; want custom lazy-label", w, ok)
+				}
+			}
+			waiter.Resume()
+		}
+	})
+	err := e.Run()
+	var de *DeadlockError
+	if !errors.As(err, &de) || len(de.Waits) != 1 {
+		t.Fatalf("Run = %v, want a deadlock report with one entry", err)
+	}
+	if w := de.Waits[0]; w.Kind != "custom" || w.Resource != "lazy-label" {
+		t.Errorf("report entry = %+v, want custom lazy-label", w)
+	}
+	if label.renders != 2 {
+		t.Errorf("label rendered %d times, want 2 (one WaitingOn, one report)", label.renders)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 )
 
@@ -28,9 +29,11 @@ type Proc struct {
 	// scheduled to resume must not be woken again.
 	waking bool
 	// waitKind/waitRes/waitHolder describe what a blocked process waits
-	// for (see WaitInfo); cleared on resume.
+	// for (see WaitInfo); cleared on resume. waitDesc, when set, renders
+	// the resource label in place of waitRes, only when a report reads it.
 	waitKind   string
 	waitRes    string
+	waitDesc   fmt.Stringer
 	waitHolder *Proc
 	// span is the causal-tracing span this process currently executes
 	// under (an opaque span ID owned by internal/trace; zero = none). It
