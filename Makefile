@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline bench-compare popcornmc soak test perfbench-test bench trace-demo
+.PHONY: verify build vet govet popcornvet vet-json allowlist bench-compare popcornmc soak test perfbench-test bench trace-demo
 
-verify: build vet escapes test perfbench-test popcornmc soak trace-demo
+verify: build vet test perfbench-test popcornmc soak trace-demo
 
 build:
 	$(GO) build ./...
@@ -33,17 +33,6 @@ vet-json:
 allowlist:
 	$(GO) run ./cmd/popcornvet -allowlist . > popcornvet-allowlist.json
 
-# Escape-baseline gate (DESIGN.md §12): compare the compiler's hot-path heap
-# escapes (`go build -gcflags=-m` over internal/sim, internal/msg,
-# internal/trace) against the checked-in ESCAPES.json. Fails on any new or
-# grown escape; after a deliberate change, regenerate with escapes-baseline
-# and commit the diff.
-escapes:
-	$(GO) run ./cmd/popcornvet -escapes .
-
-escapes-baseline:
-	$(GO) run ./cmd/popcornvet -escapes -write .
-
 # Perf regression gate: regenerate a fresh full-scale snapshot and compare
 # per-experiment gen_ns against the last checked-in snapshot (>10% and
 # >10ms worse fails). Override BENCH_BASE when re-anchoring.
@@ -64,13 +53,12 @@ popcornmc:
 # The three soaks, 16 seeds each (DESIGN.md §9, §13, §14). chaos crashes,
 # heals and re-crashes kernels under message noise and asserts restarts
 # never exceed losses and some lost thread restarts from its checkpoint.
-# overload
-# runs 10x offered load, a gray link and a crash-heal over the flow-control
-# plane and asserts the backlog stays credit-bounded, a full breaker cycle,
-# a rejoin, bounded control-lane wait and shed load. failover kills the
-# origin kernel mid-replication-stream with the failover plane attached and
-# asserts a promotion, zero reclaimed pages and zero orphaned exits. A
-# failing seed prints its replay command.
+# overload runs 10x offered load, a gray link and a crash-heal over the
+# flow-control plane and asserts the backlog stays credit-bounded, a full
+# breaker cycle, a rejoin, bounded control-lane wait and shed load.
+# failover kills the origin kernel mid-replication-stream with the failover
+# plane attached and asserts a promotion, zero reclaimed pages and zero
+# orphaned exits. A failing seed prints its replay command.
 soak:
 	$(GO) run ./cmd/popcornmc -soak chaos -seeds 16
 	$(GO) run ./cmd/popcornmc -soak overload -seeds 16

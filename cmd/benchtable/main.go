@@ -18,7 +18,8 @@
 // experiment whose gen_ns grew more than 10% over the old snapshot (and by
 // more than an absolute noise floor of 10ms, so sub-millisecond experiments
 // cannot trip on scheduler jitter) fails the run with exit 1. CI runs it as
-// `make bench-compare` against the previous PR's checked-in snapshot.
+// `make bench-compare` against the snapshot the Makefile's BENCH_BASE names
+// (BENCH_9.json). It compares wall-clock time only, never data.
 //
 // With -trace, experiments that support causal tracing (T1, T2, F2) run with
 // a span collector attached and print a critical-path attribution table per
@@ -56,7 +57,7 @@ type jsonExperiment struct {
 	ID    string `json:"id"`
 	Title string `json:"title"`
 	// GenNS is wall-clock nanoseconds spent generating the experiment on
-	// the host — the ns/op trajectory ROADMAP item 5 tracks per PR.
+	// the host; -compare gates on it.
 	GenNS int64 `json:"gen_ns"`
 	// Data is the experiment's output: a stats.Table or stats.Series in its
 	// tagged JSON form, or a plain string for outputs without one.

@@ -22,10 +22,8 @@
 //	          sim-managed set
 //	sharedmut package-level mutable vars referenced from
 //	          handler-reachable code
-//	hotalloc  heap-allocating constructs (make/new, &T{}, append,
-//	          fmt/errors calls, string concat and conversions, closures,
-//	          defer-in-loop) in functions marked //popcornvet:hotpath or
-//	          reachable from one; //popcornvet:coldpath stops the closure
+//	unboundedq appends that grow kernel-side persistent queues without
+//	          a //popcornvet:bounded note naming what bounds them
 //
 // Usage:
 //
@@ -33,8 +31,6 @@
 //	go run ./cmd/popcornvet -only simtime,locksend ./internal/...
 //	go run ./cmd/popcornvet -json . > vet.json
 //	go run ./cmd/popcornvet -allowlist . > allowlist.json
-//	go run ./cmd/popcornvet -escapes .
-//	go run ./cmd/popcornvet -escapes -write .
 //
 // Findings print as file:line:col: [rule] message (or, with -json, as a
 // JSON array of {file, line, col, analyzer, message} objects on stdout)
@@ -48,13 +44,6 @@
 // it prints every well-formed waiver as {file, line, analyzer,
 // justification} JSON, so CI archives the accepted-exception population
 // next to the findings artifact.
-//
-// -escapes is the compiler's half of the hot-path allocation contract
-// (DESIGN.md §12): it runs `go build -gcflags=-m` over the hot packages,
-// keeps the heap-escape diagnostics that land inside hotpath-reachable
-// functions, and compares them against the checked-in baseline
-// (ESCAPES.json). A new or grown escape fails with exit 1; -write
-// regenerates the baseline instead of comparing.
 package main
 
 import (
@@ -62,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"strings"
 
 	"repro/internal/vetcheck"
@@ -78,23 +66,12 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// escapePackages are the packages whose hot paths the escape gate compiles:
-// the event engine, the message fabric and the tracing layer — the code the
-// AllocsPerRun guards pin at runtime.
-var escapePackages = []string{"./internal/sim", "./internal/msg", "./internal/trace"}
-
-// escapeBaselinePath is where the accepted hot-path escape set lives,
-// relative to the module root popcornvet runs from.
-const escapeBaselinePath = "ESCAPES.json"
-
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	allowlist := flag.Bool("allowlist", false, "inventory //popcornvet:allow waivers as JSON instead of running analyzers")
-	escapes := flag.Bool("escapes", false, "compare `go build -gcflags=-m` hot-path heap escapes against "+escapeBaselinePath)
-	write := flag.Bool("write", false, "with -escapes: regenerate "+escapeBaselinePath+" instead of comparing")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: popcornvet [-only rules] [-json] [-allowlist] [-escapes [-write]] [path ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: popcornvet [-only rules] [-json] [-allowlist] [path ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -143,10 +120,6 @@ func main() {
 		writeJSON(vetcheck.Allowlist(tree))
 		return
 	}
-	if *escapes {
-		runEscapeGate(tree, *write)
-		return
-	}
 
 	findings := vetcheck.Run(tree, analyzers)
 	if *asJSON {
@@ -180,74 +153,4 @@ func writeJSON(v any) {
 		fmt.Fprintf(os.Stderr, "popcornvet: %v\n", err)
 		os.Exit(2)
 	}
-}
-
-// runEscapeGate compiles the hot packages with escape diagnostics on,
-// normalizes the hot-path escapes, and either rewrites the baseline (write)
-// or diffs against it, exiting 1 on any new or grown escape.
-func runEscapeGate(tree *vetcheck.Tree, write bool) {
-	spans := vetcheck.HotSpans(tree)
-	if len(spans) == 0 {
-		fmt.Fprintln(os.Stderr, "popcornvet: -escapes found no //popcornvet:hotpath functions in the loaded tree")
-		os.Exit(2)
-	}
-	args := append([]string{"build", "-gcflags=-m"}, escapePackages...)
-	cmd := exec.Command("go", args...)
-	// The compiler prints escape diagnostics on stderr; go build replays
-	// them from the cache on unchanged packages, so no cache-busting is
-	// needed for a stable view.
-	raw, err := cmd.CombinedOutput()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "popcornvet: go build -gcflags=-m failed: %v\n%s", err, raw)
-		os.Exit(2)
-	}
-	current := vetcheck.ParseEscapes(string(raw), spans)
-	baseline := vetcheck.EscapeBaseline{Packages: escapePackages, Escapes: current}
-
-	if write {
-		data, err := json.MarshalIndent(baseline, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "popcornvet: %v\n", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(escapeBaselinePath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "popcornvet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("popcornvet: wrote %s (%d hot-path escape entr%s across %d hot functions)\n",
-			escapeBaselinePath, len(current), plural(len(current), "y", "ies"), len(spans))
-		return
-	}
-
-	data, err := os.ReadFile(escapeBaselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "popcornvet: read baseline: %v (regenerate with -escapes -write)\n", err)
-		os.Exit(2)
-	}
-	var have vetcheck.EscapeBaseline
-	if err := json.Unmarshal(data, &have); err != nil {
-		fmt.Fprintf(os.Stderr, "popcornvet: parse %s: %v\n", escapeBaselinePath, err)
-		os.Exit(2)
-	}
-	regressions, improvements := vetcheck.CompareEscapes(have.Escapes, current)
-	for _, s := range improvements {
-		fmt.Println("note: " + s)
-	}
-	for _, s := range regressions {
-		fmt.Println(s)
-	}
-	if len(regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "popcornvet: %d hot-path escape regression(s) vs %s\n", len(regressions), escapeBaselinePath)
-		os.Exit(1)
-	}
-	fmt.Printf("popcornvet: hot-path escapes match %s (%d entr%s, %d hot functions)\n",
-		escapeBaselinePath, len(current), plural(len(current), "y", "ies"), len(spans))
-}
-
-// plural picks the singular or plural suffix for n.
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

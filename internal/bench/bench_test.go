@@ -1,15 +1,59 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsRunAtQuickScale smoke-runs every registered experiment
-// and checks that the output has the expected structure. This is the
-// integration test for the whole stack: every experiment boots full
-// machines and runs real workloads.
+// goldenPath is a benchtable snapshot of every experiment at Quick scale.
+// After a deliberate change to a modeled result, regenerate it with
+//
+//	go run ./cmd/benchtable -scale quick -json internal/bench/testdata/quick.json
+//
+// and name the changed experiment and the reason in CHANGES.md.
+const goldenPath = "testdata/quick.json"
+
+// loadGolden returns each experiment's compacted JSON data from the golden
+// snapshot.
+func loadGolden(t *testing.T) map[string][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Experiments []struct {
+			ID   string          `json:"id"`
+			Data json.RawMessage `json:"data"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	golden := make(map[string][]byte, len(snap.Experiments))
+	for _, e := range snap.Experiments {
+		var b bytes.Buffer
+		if err := json.Compact(&b, e.Data); err != nil {
+			t.Fatalf("%s: %s: %v", goldenPath, e.ID, err)
+		}
+		golden[e.ID] = b.Bytes()
+	}
+	return golden
+}
+
+// TestAllExperimentsRunAtQuickScale runs every registered experiment and
+// compares its modeled data, as benchtable -json writes it, byte for byte
+// with the golden snapshot. This is the integration test for the whole
+// stack: every experiment boots full machines and runs real workloads, and
+// a change to any modeled number fails here, naming the experiment.
 func TestAllExperimentsRunAtQuickScale(t *testing.T) {
+	golden := loadGolden(t)
+	if len(golden) != len(Experiments()) {
+		t.Errorf("%s holds %d experiments, the registry %d", goldenPath, len(golden), len(Experiments()))
+	}
 	for _, exp := range Experiments() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
@@ -17,12 +61,23 @@ func TestAllExperimentsRunAtQuickScale(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (%s): %v", exp.ID, exp.Title, err)
 			}
-			s := out.String()
-			if len(s) == 0 {
-				t.Fatalf("%s produced empty output", exp.ID)
+			if !strings.Contains(out.String(), "\n") {
+				t.Fatalf("%s output is not a table/series:\n%s", exp.ID, out)
 			}
-			if !strings.Contains(s, "\n") {
-				t.Fatalf("%s output is not a table/series:\n%s", exp.ID, s)
+			var data any = out.String()
+			if m, ok := out.(json.Marshaler); ok {
+				data = m
+			}
+			got, err := json.Marshal(data)
+			if err != nil {
+				t.Fatalf("%s: %v", exp.ID, err)
+			}
+			want, ok := golden[exp.ID]
+			if !ok {
+				t.Fatalf("%s has no %s", goldenPath, exp.ID)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s modeled data differs from %s\n got: %s\nwant: %s", exp.ID, goldenPath, got, want)
 			}
 		})
 	}

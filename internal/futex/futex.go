@@ -69,8 +69,6 @@ type localWaiter struct {
 }
 
 // String labels the waiter's futex wait in deadlock reports.
-//
-//popcornvet:coldpath
 func (lw *localWaiter) String() string { return fmt.Sprintf("g%d@%#x", lw.gid, uint64(lw.addr)) }
 
 // Service is the per-kernel futex service.

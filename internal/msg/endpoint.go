@@ -164,8 +164,8 @@ func (ep *Endpoint) Suspects(n NodeID) bool { return ep.suspects[n] }
 // spawnTracked spawns fn as an endpoint-owned process: it is registered
 // with the endpoint for its lifetime so crashNode can halt it. The registry
 // is plain map bookkeeping (no events, no RNG), so tracking is always on.
-//
-//popcornvet:allow hotalloc the tracking wrapper closure is part of the per-process spawn cost the alloc guards already budget
+// The tracking wrapper closure is part of the per-process spawn cost the
+// alloc guards budget.
 func (ep *Endpoint) spawnTracked(name string, fn func(p *sim.Proc)) *sim.Proc {
 	pr := ep.f.e.Spawn(name, func(p *sim.Proc) {
 		defer delete(ep.procs, p.ID())
@@ -205,8 +205,6 @@ func (ep *Endpoint) beginWireSpan(p *sim.Proc, m *Message) {
 // sender-side blocking (visible in the flow.credit-wait span and, if the
 // system truly wedges, to the deadlock detector) rather than as unbounded
 // queue growth. Callers that prefer to shed use TrySend.
-//
-//popcornvet:hotpath
 func (ep *Endpoint) Send(p *sim.Proc, m *Message) {
 	// wait<0 blocks forever and shed=false never refuses, so the error
 	// return is structurally nil here.
@@ -347,8 +345,6 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 }
 
 // String labels the caller's rpc-reply wait in deadlock reports.
-//
-//popcornvet:coldpath
 func (c *call) String() string {
 	return fmt.Sprintf("%v from k%d seq=%d", c.typ, c.to, c.seq)
 }
@@ -441,7 +437,6 @@ func (ep *Endpoint) callHardened(p *sim.Proc, m *Message, c *call, start sim.Tim
 // stay fenceable, and at-most-once dedup holds across incarnations.
 func (ep *Endpoint) prepare(m *Message) {
 	if int(m.To) < 0 || int(m.To) >= len(ep.f.endpoints) {
-		//popcornvet:allow hotalloc fatal misuse path; the panic ends the run
 		panic(fmt.Sprintf("msg: send to unknown node %d", m.To))
 	}
 	if m.Type == TypeInvalid {
@@ -466,7 +461,6 @@ func (ep *Endpoint) prepare(m *Message) {
 // fabric's delivery step — the one place allowed to touch a peer's queue.
 //
 //popcornvet:allow kernlocal the fabric's delivery step is the wire itself: it is where one kernel's message lands in another's queue (DESIGN.md §11)
-//popcornvet:hotpath
 func (f *Fabric) deliver(m *Message) {
 	dst := f.endpoints[m.To]
 	if f.staleOrigin(m) {
@@ -526,8 +520,8 @@ func (f *Fabric) deliver(m *Message) {
 			// never deadlock behind the credits their senders hold) but still
 			// bounded — replies by the outstanding credited RPCs, rejoin and
 			// invalidations by their protocols' own fan-out.
+			// Queue growth is amortized; head compaction reuses capacity.
 			//popcornvet:bounded control lane admits only replies (bounded by outstanding RPCs) and protocol-bounded rejoin/invalidate traffic
-			//popcornvet:allow hotalloc queue growth is amortized; head compaction reuses capacity
 			dst.ctrlq = append(dst.ctrlq, m)
 			cdepth := uint64(len(dst.ctrlq) - dst.chead)
 			if g := f.metrics.Counter("msg.ctrlqueue.maxdepth"); cdepth > g.Value() {
@@ -537,8 +531,8 @@ func (f *Fabric) deliver(m *Message) {
 			return
 		}
 	}
+	// Queue growth is amortized; head compaction reuses capacity.
 	//popcornvet:bounded with the flow plane attached, bulk depth is capped by per-link sender credits; detached runs are backpressure-free by construction
-	//popcornvet:allow hotalloc queue growth is amortized; head compaction reuses capacity
 	dst.queue = append(dst.queue, m)
 	depth := uint64(len(dst.queue) - dst.qhead)
 	if g := f.metrics.Counter("msg.queue.maxdepth"); depth > g.Value() {
@@ -554,8 +548,6 @@ func (f *Fabric) deliver(m *Message) {
 // handlers may block without stalling delivery. Dequeuing a bulk message is
 // the credit-return point: the credit tracks queue occupancy, so freeing it
 // here keeps the bulk backlog bounded by the senders' credit accounts.
-//
-//popcornvet:hotpath
 func (ep *Endpoint) dispatch(p *sim.Proc) {
 	for {
 		for ep.qhead >= len(ep.queue) && ep.chead >= len(ep.ctrlq) {
@@ -594,11 +586,10 @@ func (ep *Endpoint) dispatch(p *sim.Proc) {
 		}
 		h, ok := ep.handlers[m.Type]
 		if !ok {
-			//popcornvet:allow hotalloc fatal misuse path; the panic ends the run
 			panic(fmt.Sprintf("msg: node %d has no handler for %v", ep.node, m.Type))
 		}
 		mm := m
-		//popcornvet:allow hotalloc one handler process per message is the modeled work-queue semantics
+		// One handler process per message is the modeled work-queue semantics.
 		ep.spawnTracked(ep.handlerNames[m.Type], func(hp *sim.Proc) {
 			if o := ep.f.observer; o != nil {
 				o.MsgDelivered(hp, mm)
@@ -646,7 +637,7 @@ func (ep *Endpoint) dedup(p *sim.Proc, m *Message) bool {
 	k := dedupKey{from: m.From, seq: m.Seq}
 	de, dup := ep.seen[k]
 	if !dup {
-		//popcornvet:allow hotalloc one dedup entry per first-seen request is the at-most-once protocol state
+		// One dedup entry per first-seen request is the at-most-once protocol state.
 		ep.seen[k] = &dedupEntry{}
 		return false
 	}

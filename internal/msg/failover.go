@@ -61,8 +61,6 @@ func (f *Fabric) OriginEpochOf(role NodeID) uint64 {
 // epoch. First-wins, like the incarnation stamps: a retransmitted copy
 // keeps the epoch it was first prepared under, so copies that straddle a
 // promotion are fenced instead of mutating the successor's state.
-//
-//popcornvet:hotpath
 func (f *Fabric) StampOrigin(m *Message, role NodeID) {
 	if f.originEpoch == nil || m.OriginEpoch != 0 {
 		return
@@ -106,8 +104,6 @@ func (f *Fabric) PromoteTo(role, holder NodeID, epoch uint64) {
 // since failed over. Such messages are dropped at delivery (deliver counts
 // them under msg.fault.staleorigin), exactly like dead-incarnation
 // traffic: the promoted successor's state must never see them.
-//
-//popcornvet:hotpath
 func (f *Fabric) staleOrigin(m *Message) bool {
 	return f.originEpoch != nil && m.OriginEpoch != 0 && m.OriginEpoch < f.originEpoch[m.OriginNode]
 }

@@ -228,8 +228,6 @@ func (f *Fabric) Crashed(n NodeID) bool { return f.crashed[n] }
 
 // dispatchWire is the fault plane's interception point: every message that
 // leaves a wire in commit order passes through here exactly once.
-//
-//popcornvet:hotpath
 func (f *Fabric) dispatchWire(m *Message) {
 	if f.plan == nil {
 		f.deliver(m)
@@ -238,7 +236,7 @@ func (f *Fabric) dispatchWire(m *Message) {
 	for _, tc := range f.plan.RecordCommit(int(m.Type)) {
 		tc := tc
 		f.traceEvent("msg.crash-armed", NodeID(tc.Node), "kernel %d dies %v after %v commit #%d", tc.Node, tc.After, Type(tc.Type), tc.Nth)
-		//popcornvet:allow hotalloc arming a planned crash happens at most a handful of times per run
+		// Arming a planned crash happens at most a handful of times per run.
 		f.e.Schedule(tc.After, func() {
 			f.crashesDone++
 			f.crashNode(NodeID(tc.Node))
@@ -254,8 +252,6 @@ func (f *Fabric) dispatchWire(m *Message) {
 // The no-fault fast path (deliver) is allocation-free; injected faults may
 // allocate copies and delay closures, which is fine — a fault event is the
 // rare case by construction.
-//
-//popcornvet:allow hotalloc injected-fault branches (dup copy, delay/retry closures) are rare by construction; the deliver fast path is clean
 func (f *Fabric) route(m *Message) {
 	if f.crashed[m.From] || f.crashed[m.To] {
 		f.metrics.Counter("msg.fault.dead-link").Inc()
@@ -317,7 +313,7 @@ func (f *Fabric) deliverAfter(m *Message, d time.Duration) {
 		f.deliver(m)
 		return
 	}
-	//popcornvet:allow hotalloc delay closures exist only for injected latency faults, rare by construction
+	// Delay closures exist only for injected latency faults, rare by construction.
 	f.e.Schedule(d, func() {
 		if !f.crashed[m.From] && !f.crashed[m.To] {
 			f.deliver(m)
@@ -358,7 +354,7 @@ func (f *Fabric) dropMsg(m *Message) {
 	}
 	f.countLink("msg.fault.redeliver", m.From, m.To)
 	backoff := f.fcfg.SendRetryEvery * time.Duration(m.attempts)
-	//popcornvet:allow hotalloc retry closures exist only for injected drops, rare by construction
+	// Retry closures exist only for injected drops, rare by construction.
 	f.e.Schedule(backoff, func() {
 		if !f.crashed[m.From] && !f.crashed[m.To] {
 			f.route(m)
@@ -373,7 +369,6 @@ func (f *Fabric) dropMsg(m *Message) {
 // crash, so it may allocate freely.
 //
 //popcornvet:allow kernlocal fault-plane kill switch; engine-context, serialised with delivery
-//popcornvet:coldpath
 func (f *Fabric) crashNode(n NodeID) {
 	ep := f.endpoints[int(n)]
 	if ep.dead {
@@ -636,8 +631,6 @@ func (f *Fabric) resetSilence(at, peer NodeID, now sim.Time) {
 // detector — there is no global failure oracle, matching the paper's
 // share-nothing design. It fires once per (survivor, dead peer) pair, so it
 // may allocate freely.
-//
-//popcornvet:coldpath
 func (f *Fabric) declareDead(ep *Endpoint, dead NodeID) {
 	if ep.declaredDead[dead] {
 		return
@@ -675,10 +668,8 @@ func (f *Fabric) declareDead(ep *Endpoint, dead NodeID) {
 // plan's crashes have all happened and every survivor has declared them,
 // so a fault run still quiesces. It runs once per kernel lifetime (boot and
 // each reboot), so the spawn-time allocations are off the hot path; the
-// probe loop inside stays clean because the sends go through the pooled
-// allocMsg/reserve/commit hot functions.
-//
-//popcornvet:coldpath
+// probe loop inside allocates nothing because the sends go through the
+// pooled allocMsg/reserve/commit path (TestHeartbeatSteadyStateZeroAllocs).
 func (f *Fabric) startFailureDetection(ep *Endpoint) {
 	cfg := f.fcfg
 	ep.spawnTracked(fmt.Sprintf("msg-heartbeat-%d", ep.node), func(p *sim.Proc) {
@@ -785,14 +776,11 @@ type linkKey struct {
 // link. The per-link counter is derived (with Sprintf) only on its first
 // occurrence and cached after, so fault-heavy runs don't format a metric key
 // per event.
-//
-//popcornvet:hotpath
 func (f *Fabric) countLink(name string, from, to NodeID) {
 	f.metrics.Counter(name).Inc()
 	k := linkKey{name: name, from: from, to: to}
 	c, ok := f.linkCounters[k]
 	if !ok {
-		//popcornvet:allow hotalloc first occurrence of a per-link metric; cached thereafter
 		c = f.metrics.Counter(fmt.Sprintf("%s.k%d-k%d", name, from, to))
 		f.linkCounters[k] = c
 	}

@@ -195,8 +195,6 @@ type creditWaiter struct {
 }
 
 // String labels the sender's flow-credit wait in deadlock reports.
-//
-//popcornvet:coldpath
 func (w *creditWaiter) String() string { return fmt.Sprintf("%v to k%d", w.typ, w.to) }
 
 // breaker states for one endpoint's view of one peer.
@@ -277,13 +275,11 @@ func controlLane(m *Message) bool {
 }
 
 // link resolves (or creates) the credit account for one directed pair.
-//
-//popcornvet:hotpath
 func (fl *flowState) link(from, to NodeID) *flowLink {
 	k := wireKey{from: from, to: to}
 	lk, ok := fl.links[k]
 	if !ok {
-		//popcornvet:allow hotalloc first contact between a kernel pair; the account persists
+		// First contact between a kernel pair; the account persists.
 		lk = &flowLink{credits: fl.cfg.CreditsPerLink}
 		fl.links[k] = lk
 	}
@@ -331,8 +327,6 @@ func (fl *flowState) grantCredit(lk *flowLink) {
 // blocked is recorded in the msg.flow.creditwait histogram and under a
 // flow.credit-wait span, so overload shows up in traces as queueing, not
 // mystery latency.
-//
-//popcornvet:hotpath
 func (ep *Endpoint) acquireCredit(p *sim.Proc, m *Message, wait time.Duration) error {
 	fl := ep.f.flow
 	lk := fl.link(ep.node, m.To)
@@ -348,8 +342,6 @@ func (ep *Endpoint) acquireCredit(p *sim.Proc, m *Message, wait time.Duration) e
 // overload, where blocking or refusing IS the product — its allocations
 // (waiter record, timer closure, error) are the price of an overload event,
 // not a per-message cost.
-//
-//popcornvet:coldpath
 func (ep *Endpoint) acquireCreditSlow(p *sim.Proc, m *Message, lk *flowLink, wait time.Duration) error {
 	if wait == 0 {
 		ep.f.countLink("msg.flow.backpressure", ep.node, m.To)
@@ -409,8 +401,6 @@ func (ep *Endpoint) acquireCreditSlow(p *sim.Proc, m *Message, lk *flowLink, wai
 // fails fast when the caller opted in (shed true); otherwise a credit is
 // acquired under the caller's wait policy and the message marked as holding
 // it. No-op when the flow plane is detached.
-//
-//popcornvet:hotpath
 func (ep *Endpoint) flowAdmit(p *sim.Proc, m *Message, wait time.Duration, shed bool) error {
 	fl := ep.f.flow
 	if fl == nil || m.flowCredit || controlLane(m) {
@@ -419,7 +409,7 @@ func (ep *Endpoint) flowAdmit(p *sim.Proc, m *Message, wait time.Duration, shed 
 	if shed && fl.cfg.ShedSlowBulk {
 		if st := ep.flowPeers[m.To]; st != nil && st.slow {
 			ep.f.countLink("msg.flow.shed", ep.node, m.To)
-			//popcornvet:allow hotalloc shedding error path; refusal is the overload slow path
+			// Shedding error path; refusal is the overload slow path.
 			return &BackpressureError{Peer: m.To, Type: m.Type, Reason: "slow-shed"}
 		}
 	}
@@ -436,8 +426,6 @@ func (ep *Endpoint) flowAdmit(p *sim.Proc, m *Message, wait time.Duration, shed 
 // drops, fencing, and crash wipes. Clearing the flag makes release
 // idempotent — retransmitted copies share the Message and must not
 // double-release.
-//
-//popcornvet:hotpath
 func (f *Fabric) flowRelease(m *Message) {
 	fl := f.flow
 	if fl == nil || !m.flowCredit {
@@ -494,7 +482,7 @@ func (f *Fabric) resetFlowLink(k wireKey) {
 func (ep *Endpoint) flowPeer(n NodeID) *flowPeer {
 	st, ok := ep.flowPeers[n]
 	if !ok {
-		//popcornvet:allow hotalloc first flow-plane contact with a peer; the record persists
+		// First flow-plane contact with a peer; the record persists.
 		st = &flowPeer{
 			tokens:     ep.f.flow.cfg.RetryBudget,
 			lastRefill: ep.f.e.Now(),
@@ -523,8 +511,6 @@ func (ep *Endpoint) PeerHealth(n NodeID) PeerHealth {
 // detector's EWMA and applies the suspicion hysteresis: above SlowAfter the
 // peer turns slow, and it must fall back below HealthyBelow to recover, so
 // a link hovering at the threshold cannot flap.
-//
-//popcornvet:hotpath
 func (ep *Endpoint) grayObserve(peer NodeID, rtt time.Duration) {
 	fl := ep.f.flow
 	if fl == nil {

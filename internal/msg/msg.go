@@ -406,8 +406,6 @@ func (f *Fabric) SetObserver(o Observer) { f.observer = o }
 // traceEvent records one wire/fault-plane event into the attached ring.
 // Detached — the benchmark configuration — it costs one nil check; the
 // Sprintf runs only when a human asked for a timeline.
-//
-//popcornvet:allow hotalloc renders only with a tracer attached; tracing is explicitly outside the zero-alloc contract
 func (f *Fabric) traceEvent(kind string, node NodeID, format string, args ...any) {
 	if f.tracer == nil {
 		return
@@ -432,8 +430,6 @@ type wireEntry struct {
 
 // allocWireEntry takes a reservation record off the free list, or allocates
 // one on a cold miss.
-//
-//popcornvet:hotpath
 func (f *Fabric) allocWireEntry(m *Message) *wireEntry {
 	if n := len(f.entryFree); n > 0 {
 		e := f.entryFree[n-1]
@@ -442,26 +438,22 @@ func (f *Fabric) allocWireEntry(m *Message) *wireEntry {
 		e.m = m
 		return e
 	}
-	//popcornvet:allow hotalloc free-list cold miss; steady state recycles
+	// Free-list cold miss; steady state recycles.
 	return &wireEntry{m: m}
 }
 
 // releaseWireEntry returns a drained reservation to the free list.
-//
-//popcornvet:hotpath
 func (f *Fabric) releaseWireEntry(e *wireEntry) {
 	e.m = nil
 	e.ready = false
+	// Free-list growth is amortized; capacity is retained.
 	//popcornvet:bounded free list: grows only when an entry retires, so peak in-flight entries cap it
-	//popcornvet:allow hotalloc free-list growth is amortized; capacity is retained
 	f.entryFree = append(f.entryFree, e)
 }
 
 // allocMsg takes a fabric-owned Message (heartbeats) off the pool, or
 // allocates one on a cold miss. releaseMsg resets and recycles it; only the
 // fabric itself may release, at the single point it consumes the message.
-//
-//popcornvet:hotpath
 func (f *Fabric) allocMsg() *Message {
 	if n := len(f.msgFree); n > 0 {
 		m := f.msgFree[n-1]
@@ -469,34 +461,30 @@ func (f *Fabric) allocMsg() *Message {
 		f.msgFree = f.msgFree[:n-1]
 		return m
 	}
-	//popcornvet:allow hotalloc pool cold miss; steady state recycles
+	// Pool cold miss; steady state recycles.
 	return &Message{}
 }
 
 // releaseMsg resets a fabric-owned Message and returns it to the pool.
-//
-//popcornvet:hotpath
 func (f *Fabric) releaseMsg(m *Message) {
 	m.reset()
+	// Pool growth is amortized; capacity is retained.
 	//popcornvet:bounded pool: grows only when a message retires, so peak in-flight messages cap it
-	//popcornvet:allow hotalloc pool growth is amortized; capacity is retained
 	f.msgFree = append(f.msgFree, m)
 }
 
 // reserve claims the next ring slot sequence for m on its pair's wire.
-//
-//popcornvet:hotpath
 func (f *Fabric) reserve(m *Message) *wireEntry {
 	k := wireKey{from: m.From, to: m.To}
 	w, ok := f.wires[k]
 	if !ok {
-		//popcornvet:allow hotalloc first contact between a kernel pair; the wire persists
+		// First contact between a kernel pair; the wire persists.
 		w = &wire{}
 		f.wires[k] = w
 	}
 	entry := f.allocWireEntry(m)
+	// Ring growth is amortized; head compaction reuses capacity.
 	//popcornvet:bounded per-pair wire ring with head compaction; with the flow plane attached, sender credits bound occupancy
-	//popcornvet:allow hotalloc ring growth is amortized; head compaction reuses capacity
 	w.entries = append(w.entries, entry)
 	return entry
 }
@@ -507,8 +495,6 @@ func (f *Fabric) reserve(m *Message) *wireEntry {
 // attached. A kernel crash clears its wires, so the entry may no longer be
 // queued; marking it ready is then a no-op and any surviving ready heads
 // still drain.
-//
-//popcornvet:hotpath
 func (f *Fabric) commit(entry *wireEntry) {
 	entry.ready = true
 	k := wireKey{from: entry.m.From, to: entry.m.To}

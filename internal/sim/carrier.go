@@ -75,7 +75,6 @@ func (c *carrier) run() {
 			if err, ok := r.(error); ok && err == ErrKilled {
 				// Engine shutdown: exit quietly.
 			} else {
-				//popcornvet:allow hotalloc fatal process-panic path; the run is already lost
 				failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
 		}

@@ -54,8 +54,6 @@ func (p *Proc) WaitingOn() (WaitInfo, bool) {
 }
 
 // waitResource renders the recorded resource label.
-//
-//popcornvet:coldpath
 func (p *Proc) waitResource() string {
 	if p.waitDesc != nil {
 		return p.waitDesc.String()
@@ -123,8 +121,6 @@ func (e *DeadlockError) Error() string {
 // buildDeadlockError assembles the wait-for graph at quiescence. Non-daemon
 // processes always appear; daemons appear only when they block on a lock
 // (a daemon parked on its service condition variable is idle, not stuck).
-//
-//popcornvet:coldpath
 func (e *engine) buildDeadlockError() *DeadlockError {
 	de := &DeadlockError{At: e.now}
 	// procsByID already yields ascending PIDs, so Waits needs no re-sort.
@@ -222,7 +218,6 @@ func WithInvariantInterval(d time.Duration) Option {
 func (e *engine) checkInvariants() {
 	for _, inv := range e.invariants {
 		if err := inv.fn(); err != nil {
-			//popcornvet:allow hotalloc invariant-failure path ends the run
 			e.fail(fmt.Errorf("sim: invariant %q violated at %v: %w", inv.name, e.now, err))
 			return
 		}

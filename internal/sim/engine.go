@@ -208,8 +208,6 @@ func (e *engine) base() *engine { return e }
 // returns a handle that can cancel the callback before it fires. fn runs in
 // engine context: it must not block on simulator primitives, but it may
 // spawn processes, wake waiters, and schedule further events.
-//
-//popcornvet:hotpath
 func (e *engine) Schedule(d time.Duration, fn func()) EventHandle {
 	if d < 0 {
 		d = 0
@@ -230,8 +228,6 @@ func (e *engine) Schedule(d time.Duration, fn func()) EventHandle {
 // allocEvent takes an event object off the free list, or allocates one on a
 // cold miss. The returned event keeps only its gen counter; all scheduling
 // fields are set by the caller.
-//
-//popcornvet:hotpath
 func (e *engine) allocEvent() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -239,20 +235,18 @@ func (e *engine) allocEvent() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	//popcornvet:allow hotalloc free-list cold miss; steady state recycles
+	// Free-list cold miss; steady state recycles.
 	return &event{}
 }
 
 // recycle returns a fired or canceled event to the free list, bumping its
 // generation so outstanding handles go stale.
-//
-//popcornvet:hotpath
 func (e *engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.canceled = false
+	// Free-list growth is amortized; capacity is retained.
 	//popcornvet:bounded free list: grows only when an event retires, so peak live events cap it
-	//popcornvet:allow hotalloc free-list growth is amortized; capacity is retained
 	e.free = append(e.free, ev)
 }
 
@@ -307,8 +301,8 @@ func (e *engine) RunFor(d time.Duration) error { return e.RunUntil(e.now.Add(d))
 // drive is the dispatch loop. With bounded set, it stops once the next
 // event lies beyond until; the bound is a plain value rather than a
 // predicate closure so repeated RunUntil calls stay allocation-free. The
-// per-event work happens in step, which carries the hot-path root; the loop
-// shell itself allocates only on the misuse/fatal paths.
+// per-event work happens in step; the loop shell itself allocates only on
+// the misuse/fatal paths.
 func (e *engine) drive(until Time, bounded bool) error {
 	if e.closed {
 		return errors.New("sim: engine is closed")
@@ -326,8 +320,6 @@ func (e *engine) drive(until Time, bounded bool) error {
 
 // step pops and dispatches exactly one event, in canonical order, then runs
 // the periodic invariant sweep if it is due.
-//
-//popcornvet:hotpath
 func (e *engine) step() (error, bool) {
 	ev := e.heap.pop()
 	if ev.canceled {
@@ -335,7 +327,6 @@ func (e *engine) step() (error, bool) {
 		return nil, false
 	}
 	if ev.at < e.now {
-		//popcornvet:allow hotalloc fatal-error path; the run is already lost
 		return fmt.Errorf("sim: event scheduled in the past (%v < %v)", ev.at, e.now), true
 	}
 	e.now = ev.at

@@ -80,8 +80,6 @@ func (e *engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 }
 
 // dispatch hands the CPU to p until it parks or finishes.
-//
-//popcornvet:hotpath
 func (e *engine) dispatch(p *Proc) {
 	if p.finished {
 		return
@@ -105,8 +103,6 @@ func (p *Proc) park() {
 
 // wake schedules p to resume at the current virtual time. It is idempotent
 // while a wake is pending.
-//
-//popcornvet:hotpath
 func (p *Proc) wake() {
 	if p.waking || p.finished {
 		return
@@ -140,8 +136,6 @@ func (p *Proc) SetSpan(id uint64) { p.span = id }
 // Sleep blocks the process for d of virtual time. Non-positive durations
 // still yield: the process re-enters the run queue behind same-instant
 // events.
-//
-//popcornvet:hotpath
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0

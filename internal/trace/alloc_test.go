@@ -48,3 +48,23 @@ func TestScopeBeginEndZeroAllocs(t *testing.T) {
 		t.Fatalf("Begin/End allocates %v allocs/op within preallocated capacity, want 0", allocs)
 	}
 }
+
+// TestBufferRingOverwriteZeroAllocs pins the event ring: Add fills the
+// preallocated array and, once it is full, overwrites the oldest record in
+// place, so a long traced run costs no allocation per event however many
+// it drops.
+func TestBufferRingOverwriteZeroAllocs(t *testing.T) {
+	b := NewBuffer(8)
+	ev := Event{At: sim.Time(1000), Kind: "msg.send", Node: 0, Detail: "ping to k1"}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 16; i++ {
+			b.Add(ev)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Buffer.Add allocates %v allocs per 16 events on a full ring, want 0", allocs)
+	}
+	if b.Len() != 8 || b.Dropped() == 0 {
+		t.Fatalf("ring holds %d events with %d dropped, want 8 and some dropped", b.Len(), b.Dropped())
+	}
+}

@@ -98,14 +98,11 @@ func (c *Collector) Spans() []Span {
 // Span records live in one flat slice indexed by ID — opening a span writes
 // a struct in place; only slice growth (amortized, preallocated by
 // NewCollector) ever allocates.
-//
-//popcornvet:hotpath
 func (c *Collector) StartAt(name string, node int, parent SpanID, at sim.Time) SpanID {
 	if c == nil {
 		return 0
 	}
 	id := SpanID(len(c.spans) + 1)
-	//popcornvet:allow hotalloc span-store growth is amortized; NewCollector preallocates the common case
 	c.spans = append(c.spans, Span{ID: id, Parent: parent, Name: name, Node: node, Begin: at, End: openEnd})
 	return id
 }
@@ -113,8 +110,6 @@ func (c *Collector) StartAt(name string, node int, parent SpanID, at sim.Time) S
 // EndAt stamps the end of an explicitly opened span. First stamp wins:
 // duplicate deliveries of a retransmitted message end the original wire
 // span once, and later copies are no-ops. Unknown or zero IDs are ignored.
-//
-//popcornvet:hotpath
 func (c *Collector) EndAt(id SpanID, at sim.Time) {
 	if c == nil || id == 0 || int(id) > len(c.spans) {
 		return
@@ -151,8 +146,6 @@ func (s Scope) End() {
 // Begin opens a span named name on the given kernel as a child of p's
 // current span, and makes it p's current span until the returned Scope
 // ends. This is how protocol phases running inside one process nest.
-//
-//popcornvet:hotpath
 func (c *Collector) Begin(p *sim.Proc, name string, node int) Scope {
 	if c == nil {
 		return Scope{}
@@ -164,8 +157,6 @@ func (c *Collector) Begin(p *sim.Proc, name string, node int) Scope {
 // parent lives on another kernel: a message handler nests under the
 // *sender's* operation span (carried in the message), not under the
 // dispatcher that spawned it.
-//
-//popcornvet:hotpath
 func (c *Collector) BeginUnder(p *sim.Proc, name string, node int, parent SpanID) Scope {
 	if c == nil {
 		return Scope{}

@@ -49,11 +49,8 @@ func NewBuffer(capacity int) *Buffer {
 
 // Add records one event. The ring never reallocates: until capacity it
 // appends into the preallocated array, after that it overwrites in place.
-//
-//popcornvet:hotpath
 func (b *Buffer) Add(ev Event) {
 	if len(b.events) < cap(b.events) {
-		//popcornvet:allow hotalloc fills the preallocated ring; at capacity the branch below overwrites in place
 		b.events = append(b.events, ev)
 		return
 	}

@@ -39,7 +39,7 @@ func Allowlist(t *Tree) []Waiver {
 					}
 					pos := t.Fset.Position(c.Pos())
 					out = append(out, Waiver{
-						File:          normPath(pos.Filename),
+						File:          strings.TrimPrefix(pos.Filename, "./"),
 						Line:          pos.Line,
 						Analyzer:      fields[0],
 						Justification: strings.TrimSpace(fields[1]),

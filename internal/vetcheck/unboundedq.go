@@ -42,9 +42,9 @@ type UnboundedQ struct{}
 // Name implements Analyzer.
 func (UnboundedQ) Name() string { return "unboundedq" }
 
-// boundedMarker documents a deliberate bound on queue growth. Like
-// hotpath/coldpath it is scope declaration, not suppression, so it does not
-// share the popcornvet:allow prefix.
+// boundedMarker documents a deliberate bound on queue growth. It is a
+// claim about the code, not a suppression, so it does not share the allow
+// directive's prefix.
 const boundedMarker = "popcornvet:bounded"
 
 // Check implements Analyzer.

@@ -96,7 +96,7 @@ type mailbox struct {
 // append).
 func HandleDeliver(mb *mailbox, m int) {
 	//popcornvet:bounded sender credits cap occupancy at CreditsPerLink per link
-	//popcornvet:allow hotalloc amortized growth
+	//popcornvet:allow kernlocal the mailbox is this kernel's own
 	mb.inbox = append(mb.inbox, m)
 }
 

@@ -76,7 +76,7 @@ type Analyzer interface {
 func Analyzers() []Analyzer {
 	return []Analyzer{
 		SimTime{}, MsgProto{}, LockSend{}, LockOrder{}, DirVer{}, DocComment{},
-		KernLocal{}, DetOrder{}, SharedMut{}, HotAlloc{}, UnboundedQ{},
+		KernLocal{}, DetOrder{}, SharedMut{}, UnboundedQ{},
 	}
 }
 
